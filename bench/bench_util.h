@@ -156,16 +156,18 @@ inline void init_json(int argc, char** argv, const char* benchmark) {
   }
 }
 
-/// Writes and disarms the report; prints the destination for the console log.
+/// Writes and disarms the report; prints the destination for the console
+/// log. A report that cannot be written ends the process with exit code 1:
+/// a run whose --json output silently vanished must not look like a pass.
 inline void write_json() {
   auto& slot = detail::json_slot();
   if (!slot) return;
-  if (slot->write()) {
-    std::printf("json report written to %s\n", slot->path().c_str());
-  } else {
+  if (!slot->write()) {
     std::fprintf(stderr, "error: cannot write json report to %s\n",
                  slot->path().c_str());
+    std::exit(1);
   }
+  std::printf("json report written to %s\n", slot->path().c_str());
   slot.reset();
 }
 

@@ -24,6 +24,14 @@ LookupFn tables_lookup(const std::vector<flowspace::FlowTable>& tables) {
   };
 }
 
+LookupFn sessions_lookup(const runtime::FleetSessions& sessions) {
+  // Valid while the round observer that received `sessions` runs.
+  return [s = &sessions](SwitchId sw, const Packet& p) -> const Rule* {
+    if (sw >= s->size()) return nullptr;
+    return (*s)[sw]->agent().device().tcam().lookup(p);
+  };
+}
+
 const char* outcome_name(TraceOutcome o) {
   switch (o) {
     case TraceOutcome::kDelivered: return "delivered";

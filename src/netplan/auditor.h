@@ -11,8 +11,8 @@
 //
 // The walk is lookup-function-driven, so the same auditor runs against
 //  * planner-side simulated FlowTables (tables_lookup), and
-//  * the live TCAMs of runtime switch agents mid-fleet-run — lookups use
-//    the device's real highest-address-wins TCAM semantics.
+//  * the live TCAMs of runtime switch agents mid-fleet-run (sessions_lookup)
+//    — lookups use the device's real highest-address-wins TCAM semantics.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +23,7 @@
 #include "flowspace/rule.h"
 #include "netplan/policy.h"
 #include "netplan/topology.h"
+#include "runtime/controller.h"
 
 namespace ruletris::netplan {
 
@@ -33,6 +34,10 @@ using LookupFn = std::function<const flowspace::Rule*(SwitchId sw,
 
 /// Builds a LookupFn over simulated per-switch FlowTables.
 LookupFn tables_lookup(const std::vector<flowspace::FlowTable>& tables);
+
+/// Builds a LookupFn over the live TCAMs of a round-gated fleet run's
+/// sessions (runtime::RoundObserver), switch i = sessions[i].
+LookupFn sessions_lookup(const runtime::FleetSessions& sessions);
 
 enum class TraceOutcome : uint8_t {
   kDelivered,  // forwarded out of kHostPort at some switch

@@ -41,10 +41,10 @@ DagDelta dag_delta(const DependencyGraph& before, const DependencyGraph& after,
 
 }  // namespace
 
-std::vector<SwitchScript> materialize(const Topology& topo,
-                                      const UpdatePlan& plan) {
+std::vector<runtime::SwitchWorkload> materialize(const Topology& topo,
+                                                 const UpdatePlan& plan) {
   const size_t n = topo.switch_count();
-  std::vector<SwitchScript> scripts(n);
+  std::vector<runtime::SwitchWorkload> fleet(n);
 
   // Round deltas re-indexed per switch (rounds touch sparse switch sets).
   std::vector<std::vector<const SwitchDelta*>> per_switch(
@@ -56,7 +56,7 @@ std::vector<SwitchScript> materialize(const Topology& topo,
   }
 
   for (size_t sw = 0; sw < n; ++sw) {
-    SwitchScript& script = scripts[sw];
+    std::vector<proto::MessageBatch> epochs;  // install + one per round
 
     std::vector<Rule> rules;
     rules.reserve(plan.initial[sw].size());
@@ -69,7 +69,7 @@ std::vector<SwitchScript> materialize(const Topology& topo,
     install.added = table.rules();
     for (const Rule& r : install.added) install.dag.added_vertices.push_back(r.id);
     install.dag.added_edges = graph.edges();
-    script.epochs.push_back(switchsim::to_messages(install));
+    epochs.push_back(switchsim::to_messages(install));
 
     // Epoch 1 + r: round r's delta (possibly a barrier-only no-op).
     for (size_t r = 0; r < plan.rounds.size(); ++r) {
@@ -86,12 +86,13 @@ std::vector<SwitchScript> materialize(const Topology& topo,
         table = std::move(next);
         graph = std::move(next_graph);
       }
-      script.epochs.push_back(switchsim::to_messages(update));
+      epochs.push_back(switchsim::to_messages(update));
     }
 
-    script.expected = table.rules();
+    fleet[sw].log = runtime::encode_log(epochs);
+    fleet[sw].expected = table.rules();
   }
-  return scripts;
+  return fleet;
 }
 
 }  // namespace ruletris::netplan

@@ -11,18 +11,15 @@
 
 #include <vector>
 
-#include "flowspace/rule.h"
 #include "netplan/planner.h"
-#include "proto/messages.h"
+#include "runtime/controller.h"
 
 namespace ruletris::netplan {
 
-struct SwitchScript {
-  std::vector<proto::MessageBatch> epochs;  // install + one per round
-  std::vector<flowspace::Rule> expected;    // final table (convergence check)
-};
-
-std::vector<SwitchScript> materialize(const Topology& topo,
-                                      const UpdatePlan& plan);
+/// One encoded log per switch (install + one epoch per round), each with
+/// the switch's final table as its convergence target — ready for a
+/// round-gated runtime::Controller::run_fleet.
+std::vector<runtime::SwitchWorkload> materialize(const Topology& topo,
+                                                 const UpdatePlan& plan);
 
 }  // namespace ruletris::netplan

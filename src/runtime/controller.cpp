@@ -28,38 +28,11 @@ RuntimeReport merge_session_stats(std::vector<SessionStats> results) {
   RuntimeReport report;
   report.sessions = std::move(results);
   for (const SessionStats& s : report.sessions) {
+    report.add(s);
     report.epochs = std::max(report.epochs, s.epochs);
-    report.data_frames_sent += s.data_frames_sent;
-    report.retransmits += s.retransmits;
-    report.resync_replays += s.resync_replays;
-    report.resyncs += s.resyncs;
-    report.stale_resyncs += s.stale_resyncs;
-    report.restarts += s.restarts;
-    report.timeouts += s.timeouts;
-    report.duplicates += s.duplicates;
-    report.nacks += s.nacks;
-    report.nack_retransmits += s.nack_retransmits;
-    report.crashes += s.crashes;
-    report.roll_forwards += s.roll_forwards;
-    report.recovered_writes += s.recovered_writes;
-    report.apply_failures += s.apply_failures;
-    report.table_full += s.table_full;
-    report.rolled_back += s.rolled_back;
-    report.entry_writes += s.entry_writes;
-    report.moves += s.moves;
-    report.quarantines += s.quarantines;
-    report.readmissions += s.readmissions;
-    report.probe_sends += s.probe_sends;
-    report.blackout_drops += s.blackout_drops;
-    report.readmit_failures += s.readmit_failures;
-    report.rejoin_audit_violations += s.rejoin_audit_violations;
     report.makespan_ms = std::max(report.makespan_ms, s.makespan_ms);
+    report.all_completed = report.all_completed && s.completed;
     report.all_converged = report.all_converged && s.converged;
-    report.ack_ms.merge(s.ack_ms);
-    report.channel_ms.merge(s.channel_ms);
-    report.firmware_ms.merge(s.firmware_ms);
-    report.tcam_ms.merge(s.tcam_ms);
-    report.rejoin_ms.merge(s.rejoin_ms);
   }
   return report;
 }
@@ -70,17 +43,22 @@ RuntimeReport Controller::run(const std::vector<proto::MessageBatch>& epoch_batc
   // reuses the same immutable bytes.
   const std::shared_ptr<const EncodedLog> log = encode_log(epoch_batches);
   const size_t n = std::max<size_t>(cfg_.n_switches, 1);
-  std::vector<SwitchWorkload> fleet(n);
-  for (SwitchWorkload& w : fleet) {
-    w.log = log;
-    w.expected = expected;
-  }
-  return run_fleet(fleet);
+  return run_fleet(
+      std::vector<SwitchWorkload>(n, SwitchWorkload{log, expected}));
 }
 
-RuntimeReport Controller::run_fleet(const std::vector<SwitchWorkload>& fleet) {
+RuntimeReport Controller::run_fleet(const std::vector<SwitchWorkload>& fleet,
+                                    const RoundObserver& between_rounds) {
   const size_t n = fleet.size();
   if (n == 0) return RuntimeReport{};
+  const size_t epochs = fleet.front().log->size();
+  if (between_rounds) {
+    for (const SwitchWorkload& w : fleet) {
+      if (w.log->size() != epochs) {
+        throw std::invalid_argument("run_fleet: gated logs differ in length");
+      }
+    }
+  }
 
   auto session_config = [&](size_t i) {
     SessionConfig sc;
@@ -95,30 +73,69 @@ RuntimeReport Controller::run_fleet(const std::vector<SwitchWorkload>& fleet) {
     return sc;
   };
 
-  std::vector<SessionStats> results(n);
+  // Runs step(i) for every session, on the pool when there is one. Sessions
+  // share nothing mutable, so the order jobs run in never shows in a result.
+  std::unique_ptr<util::ThreadPool> pool;
+  if (cfg_.n_threads > 1 && n > 1) {
+    pool = std::make_unique<util::ThreadPool>(std::min(cfg_.n_threads, n));
+  }
   std::vector<std::string> errors(n);
-  auto run_session = [&](size_t i) {
-    try {
-      SwitchSession session(session_config(i), *fleet[i].log);
-      results[i] = session.run(fleet[i].expected);
-    } catch (const std::exception& e) {  // pool jobs must not throw
-      errors[i] = e.what();
+  auto for_each_session = [&](const auto& step) {
+    auto guarded = [&](size_t i) {
+      try {
+        step(i);
+      } catch (const std::exception& e) {  // pool jobs must not throw
+        errors[i] = e.what();
+      }
+    };
+    if (pool) {
+      for (size_t i = 0; i < n; ++i) pool->run([&guarded, i] { guarded(i); });
+      pool->wait_idle();
+    } else {
+      for (size_t i = 0; i < n; ++i) guarded(i);
+    }
+    for (const std::string& error : errors) {
+      if (!error.empty()) throw std::runtime_error("runtime session: " + error);
     }
   };
 
-  if (cfg_.n_threads > 1 && n > 1) {
-    util::ThreadPool pool(std::min(cfg_.n_threads, n));
-    for (size_t i = 0; i < n; ++i) {
-      pool.run([&run_session, i] { run_session(i); });
-    }
-    pool.wait_idle();
-  } else {
-    for (size_t i = 0; i < n; ++i) run_session(i);
-  }
-  for (const std::string& error : errors) {
-    if (!error.empty()) throw std::runtime_error("runtime session: " + error);
+  std::vector<SessionStats> results(n);
+  if (!between_rounds) {
+    for_each_session([&](size_t i) {
+      SwitchSession session(session_config(i), *fleet[i].log);
+      results[i] = session.run(fleet[i].expected);
+    });
+    return merge_session_stats(std::move(results));
   }
 
+  FleetSessions sessions(n);
+  for_each_session([&](size_t i) {
+    sessions[i] =
+        std::make_unique<SwitchSession>(session_config(i), *fleet[i].log);
+    sessions[i]->set_send_limit(0);  // nothing leaves before the first gate
+    sessions[i]->start();
+  });
+  std::vector<char> committed(n, 1);
+  for (size_t epoch = 1; epoch <= epochs; ++epoch) {
+    for_each_session([&](size_t i) {
+      sessions[i]->set_send_limit(epoch);
+      committed[i] = sessions[i]->run_until_committed(epoch) ? 1 : 0;
+    });
+    // Fleet barrier: the round ends when the slowest switch commits; every
+    // clock parks there so the next round's sends share a common origin.
+    double barrier = 0.0;
+    for (const auto& session : sessions) {
+      barrier = std::max(barrier, session->now_ms());
+    }
+    for (auto& session : sessions) session->advance_clock(barrier);
+    if (std::find(committed.begin(), committed.end(), 0) != committed.end()) {
+      break;  // a switch stalled or hit its deadline: the run is over
+    }
+    between_rounds(epoch, barrier, sessions);
+  }
+  for_each_session([&](size_t i) {
+    results[i] = sessions[i]->finalize(fleet[i].expected);
+  });
   return merge_session_stats(std::move(results));
 }
 

@@ -1,12 +1,14 @@
 // Controller of the asynchronous runtime: N switch sessions, each driven by
 // an epoch log. Historically every session replayed one shared log; the
 // netplan planner projects *different* rules onto different switches, so the
-// fleet entry point takes one (log, expected) workload per switch. The
-// shared-log run() is now a thin wrapper: encode once, hand every switch
+// fleet entry point takes one (log, expected) workload per switch, and
+// drives the planner's barrier-fenced rounds when given a round observer.
+// The shared-log run() is a thin wrapper: encode once, hand every switch
 // the same immutable bytes.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -34,45 +36,16 @@ struct SwitchWorkload {
   std::vector<flowspace::Rule> expected;
 };
 
-/// Fleet-level report: per-session stats plus merged aggregates. Histograms
-/// are merged here, at report time — the sessions filled them without any
+/// Fleet-level report: per-session stats plus merged aggregates (every
+/// SessionTotals counter summed, every histogram merged). Histograms are
+/// merged here, at report time — the sessions filled them without any
 /// synchronization.
-struct RuntimeReport {
+struct RuntimeReport : SessionTotals {
   std::vector<SessionStats> sessions;
   size_t epochs = 0;
-
-  // Aggregates over every session.
-  size_t data_frames_sent = 0;
-  size_t retransmits = 0;
-  size_t resync_replays = 0;
-  size_t resyncs = 0;
-  size_t stale_resyncs = 0;
-  size_t restarts = 0;
-  size_t timeouts = 0;
-  size_t duplicates = 0;
-  size_t nacks = 0;             // corrupted data frames NACKed fleet-wide
-  size_t nack_retransmits = 0;
-  size_t crashes = 0;           // firmware crashes mid-transaction
-  size_t roll_forwards = 0;     // recoveries that committed a sealed txn
-  size_t recovered_writes = 0;  // TCAM writes spent undoing torn chains
-  size_t apply_failures = 0;
-  size_t table_full = 0;        // updates rejected with ApplyStatus::kTableFull
-  size_t rolled_back = 0;       // updates undone with ApplyStatus::kRolledBack
-  size_t entry_writes = 0;   // fleet-wide TCAM writes actually performed
-  size_t moves = 0;          // relocation subset (the DAG-schedule cost)
-  size_t quarantines = 0;       // sessions benched after silent escalation
-  size_t readmissions = 0;      // quarantined sessions brought back
-  size_t probe_sends = 0;       // liveness probes sent while quarantined
-  size_t blackout_drops = 0;    // frames lost to agent blackout windows
-  size_t readmit_failures = 0;  // failed warm-boot catch-up verifications
-  size_t rejoin_audit_violations = 0;  // structural audits failed on rejoin
   double makespan_ms = 0.0;  // max session makespan (virtual)
+  bool all_completed = true;  // every session committed its whole log
   bool all_converged = true;
-  util::Histogram ack_ms;
-  util::Histogram channel_ms;
-  util::Histogram firmware_ms;
-  util::Histogram tcam_ms;
-  util::Histogram rejoin_ms;  // quarantine entry -> re-admission (virtual)
 
   /// Sum of per-session log lengths (== sessions * epochs when every switch
   /// replays the same log; per-switch logs may differ in length).
@@ -100,9 +73,19 @@ struct RuntimeReport {
 };
 
 /// Folds per-session stats into the merged fleet report (aggregate counters,
-/// max makespan, histogram merges). Shared by Controller and by the netplan
-/// FleetController, which produces its SessionStats via gated stepping.
+/// max makespan, histogram merges). Shared by Controller and by the sharded
+/// controller, which produces its SessionStats via pipelined stepping.
 RuntimeReport merge_session_stats(std::vector<SessionStats> results);
+
+/// Live sessions of a round-gated fleet run, indexed like the fleet.
+using FleetSessions = std::vector<std::unique_ptr<SwitchSession>>;
+
+/// Called after each fleet-wide round barrier: `epoch` is the epoch every
+/// switch just committed (1 = the first), `barrier_ms` the fleet clock the
+/// round ended at. The sessions' live TCAMs are the mid-update observation
+/// point (e.g. for a per-packet consistency audit).
+using RoundObserver = std::function<void(size_t epoch, double barrier_ms,
+                                         const FleetSessions& sessions)>;
 
 /// Runs the fan-out half of the runtime. The controller encodes each epoch
 /// batch exactly once (the encoded bytes are the unit both the channel
@@ -125,7 +108,17 @@ class Controller {
   /// Per-switch logs: session i replays fleet[i].log and must converge to
   /// fleet[i].expected. cfg.n_switches is ignored (the fleet size rules);
   /// cfg.tcam_capacity == 0 sizes each switch from its own expected set.
-  RuntimeReport run_fleet(const std::vector<SwitchWorkload>& fleet);
+  ///
+  /// Without an observer every session runs to completion independently.
+  /// With one, the send window is *gated* into fleet-wide rounds: epoch e
+  /// may not leave the controller until every switch has committed e - 1;
+  /// after each round every clock parks at the slowest session's commit
+  /// time (the barrier) and the observer runs. Rounds stop at the first
+  /// epoch some switch fails to commit. Round e must be the same epoch on
+  /// every switch, so gated logs must all have the same length
+  /// (std::invalid_argument otherwise).
+  RuntimeReport run_fleet(const std::vector<SwitchWorkload>& fleet,
+                          const RoundObserver& between_rounds = {});
 
  private:
   RuntimeConfig cfg_;

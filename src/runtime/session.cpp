@@ -8,6 +8,15 @@
 
 namespace ruletris::runtime {
 
+void SessionTotals::add(const SessionTotals& other) {
+#define RULETRIS_ADD_COUNTER(name) name += other.name;
+  RULETRIS_SESSION_COUNTERS(RULETRIS_ADD_COUNTER)
+#undef RULETRIS_ADD_COUNTER
+#define RULETRIS_MERGE_HISTOGRAM(name) name.merge(other.name);
+  RULETRIS_SESSION_HISTOGRAMS(RULETRIS_MERGE_HISTOGRAM)
+#undef RULETRIS_MERGE_HISTOGRAM
+}
+
 SwitchSession::SwitchSession(const SessionConfig& config,
                              const std::vector<EncodedEpoch>& epochs)
     : cfg_(config),

@@ -1,5 +1,4 @@
-// Sharded compile pipeline + fleet runtime tests: ShardPlan partition
-// soundness (sharded union == unsharded snapshot), lock-free publication,
+// Sharded compile pipeline + fleet runtime tests: lock-free publication,
 // the pipelined session path against the classic vector-log path, bursty
 // workload determinism, and whole-fleet bit-identity across thread counts.
 #include <gtest/gtest.h>
@@ -9,9 +8,6 @@
 #include <memory>
 #include <vector>
 
-#include "compiler/composed_node.h"
-#include "compiler/ruletris_compiler.h"
-#include "compiler/shard_plan.h"
 #include "frozen/publish.h"
 #include "runtime/controller.h"
 #include "runtime/session.h"
@@ -22,17 +18,15 @@
 namespace ruletris {
 namespace {
 
-using compiler::CompileSnapshot;
 using compiler::PolicySpec;
-using compiler::ShardPlan;
 using flowspace::FieldId;
 using flowspace::FlowTable;
 using flowspace::Rule;
 using flowspace::TernaryMatch;
 using testutil::Rng;
 
-/// Rules whose dst prefixes are at least as deep as the plan's bucket, so
-/// the prefix partition is closed (no cross-shard overlap is possible).
+/// Rules whose dst prefixes fall in one of `n_buckets` top-level /8 blocks,
+/// at least /8 deep, with an optional coarse src prefix.
 std::vector<Rule> bucketed_rules(size_t n, uint64_t seed, size_t n_buckets) {
   Rng rng(seed);
   std::vector<Rule> out;
@@ -50,82 +44,6 @@ std::vector<Rule> bucketed_rules(size_t n, uint64_t seed, size_t n_buckets) {
                              static_cast<int32_t>(100 + rng.next_below(50))));
   }
   return out;
-}
-
-TEST(ShardPlanTest, SplitPreservesEveryRuleAndRoutesDeterministically) {
-  const ShardPlan plan = ShardPlan::make(4);
-  std::map<std::string, FlowTable> tables;
-  tables.emplace("t", FlowTable{bucketed_rules(80, 11, 16)});
-
-  const auto parts = plan.split(tables);
-  ASSERT_EQ(parts.size(), 4u);
-  size_t total = 0;
-  for (size_t k = 0; k < parts.size(); ++k) {
-    for (const Rule& r : parts[k].at("t").rules()) {
-      EXPECT_EQ(plan.shard_of(r), k);
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, 80u);
-}
-
-TEST(ShardPlanTest, CoarseRulesLandInCatchAllShardZero) {
-  const ShardPlan plan = ShardPlan::make(4);
-  TernaryMatch coarse;
-  coarse.set_prefix(FieldId::kDstIp, 0x0a000000u, 4);  // /4 < bucket_bits
-  EXPECT_TRUE(plan.catch_all(coarse));
-  EXPECT_EQ(plan.shard_of(coarse), 0u);
-
-  TernaryMatch wildcard;  // no dst constraint at all
-  EXPECT_TRUE(plan.catch_all(wildcard));
-  EXPECT_EQ(plan.shard_of(wildcard), 0u);
-}
-
-TEST(ShardPlanTest, BucketAlignedPartitionIsClosed) {
-  const ShardPlan plan = ShardPlan::make(3);
-  std::map<std::string, FlowTable> tables;
-  tables.emplace("mon", FlowTable{bucketed_rules(60, 21, 16)});
-  tables.emplace("rtr", FlowTable{bucketed_rules(40, 22, 16)});
-  EXPECT_EQ(ShardPlan::cross_shard_overlaps(plan.split(tables)), 0u);
-}
-
-TEST(ShardPlanTest, CoarseRulesBreakClosureAndAreDetected) {
-  const ShardPlan plan = ShardPlan::make(3);
-  std::vector<Rule> rules = bucketed_rules(40, 31, 16);
-  // A near-wildcard monitor rule overlaps every bucket.
-  Rng rng(1);
-  TernaryMatch coarse;
-  coarse.set_prefix(FieldId::kDstIp, 0, 0);
-  rules.push_back(Rule::make(coarse, testutil::random_actions(rng), 10));
-  std::map<std::string, FlowTable> tables;
-  tables.emplace("t", FlowTable{std::move(rules)});
-  EXPECT_GT(ShardPlan::cross_shard_overlaps(plan.split(tables)), 0u);
-}
-
-TEST(ShardPlanTest, ShardedCompileUnionEqualsUnshardedSnapshot) {
-  // Same rule objects (same ids) compiled whole vs. per shard: because the
-  // partition is closed, the union of per-shard snapshots must reproduce
-  // the unsharded compile exactly — entries, reps and visible edges.
-  const ShardPlan plan = ShardPlan::make(3);
-  std::map<std::string, FlowTable> tables;
-  tables.emplace("mon", FlowTable{bucketed_rules(50, 41, 16)});
-  tables.emplace("rtr", FlowTable{bucketed_rules(30, 42, 16)});
-  const PolicySpec spec =
-      PolicySpec::parallel(PolicySpec::leaf("mon"), PolicySpec::leaf("rtr"));
-
-  compiler::RuleTrisCompiler whole(spec, tables);
-  const CompileSnapshot expected =
-      dynamic_cast<const compiler::ComposedNode&>(whole.root()).snapshot();
-
-  const auto parts = plan.split(tables);
-  ASSERT_EQ(ShardPlan::cross_shard_overlaps(parts), 0u);
-  std::vector<CompileSnapshot> shards;
-  for (const auto& part : parts) {
-    compiler::RuleTrisCompiler one(spec, part);
-    shards.push_back(
-        dynamic_cast<const compiler::ComposedNode&>(one.root()).snapshot());
-  }
-  EXPECT_EQ(compiler::merge_shard_snapshots(std::move(shards)), expected);
 }
 
 TEST(PublishRingTest, SealsInOrderAndReadsBack) {

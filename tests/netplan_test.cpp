@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,6 @@
 #include "flowspace/action.h"
 #include "flowspace/rule.h"
 #include "netplan/auditor.h"
-#include "netplan/fleet.h"
 #include "netplan/materialize.h"
 #include "netplan/planner.h"
 #include "netplan/policy.h"
@@ -27,6 +27,7 @@
 #include "runtime/controller.h"
 #include "runtime/workload.h"
 #include "util/rng.h"
+#include "runtime_report_util.h"
 
 namespace ruletris {
 namespace {
@@ -501,17 +502,16 @@ TEST(Materialize, AllSwitchLogsShareTheRoundStructure) {
   DiamondScenario s;
   const UpdatePlan plan = netplan::plan_update(
       s.topo, s.oldp, s.newp, {Strategy::kRounds, 0});
-  const std::vector<netplan::SwitchScript> scripts =
-      netplan::materialize(s.topo, plan);
-  ASSERT_EQ(scripts.size(), 4u);
-  for (const auto& script : scripts) {
+  const std::vector<SwitchWorkload> fleet = netplan::materialize(s.topo, plan);
+  ASSERT_EQ(fleet.size(), 4u);
+  for (const SwitchWorkload& w : fleet) {
     // Epoch 1 installs, one epoch per round after that — even for switches
     // a round does not touch (their epoch is a barrier-only no-op).
-    EXPECT_EQ(script.epochs.size(), 1 + plan.rounds.size());
+    EXPECT_EQ(w.log->size(), 1 + plan.rounds.size());
   }
   // Expected state mirrors the planner's final tables.
-  for (size_t sw = 0; sw < scripts.size(); ++sw) {
-    EXPECT_EQ(scripts[sw].expected.size(), plan.final_tables[sw].size());
+  for (size_t sw = 0; sw < fleet.size(); ++sw) {
+    EXPECT_EQ(fleet[sw].expected.size(), plan.final_tables[sw].size());
   }
 }
 
@@ -528,38 +528,40 @@ TEST(Fleet, RoundsRideTheFaultyRuntimeAndStayConsistent) {
       netplan::plan_update(topo, oldp, newp, {Strategy::kAuto, 0});
   ASSERT_GT(plan.rounds.size(), 0u);
 
-  netplan::FleetConfig fc;
-  fc.runtime.knobs.faults = FaultSpec::chaos();
-  fc.runtime.fault_seed = 11;
-  fc.runtime.n_threads = 1;
-  fc.runtime.tcam_capacity = plan.peak_switch_rules + 16;
-  netplan::FleetController fleet(netplan::materialize(topo, plan), fc);
-  EXPECT_EQ(fleet.epochs(), 1 + plan.rounds.size());
+  RuntimeConfig cfg;
+  cfg.knobs.faults = FaultSpec::chaos();
+  cfg.fault_seed = 11;
+  cfg.n_threads = 1;
+  cfg.tcam_capacity = plan.peak_switch_rules + 16;
 
   AuditConfig acfg;
   acfg.seed = 17;
   const ConsistencyAuditor auditor(
       topo, oldp, newp, netplan::tables_from(plan.initial),
       netplan::tables_from(plan.final_tables), acfg);
-  const LookupFn live = fleet.lookup();
-  size_t mixed = 0, audits = 0;
-  const netplan::FleetReport report = fleet.run([&](size_t, double) {
-    mixed += auditor.audit(live).mixed;
-    ++audits;
-  });
+  size_t mixed = 0;
+  std::vector<size_t> epochs;
+  std::vector<double> barriers;
+  const RuntimeReport report = Controller(cfg).run_fleet(
+      netplan::materialize(topo, plan),
+      [&](size_t epoch, double barrier_ms, const runtime::FleetSessions& live) {
+        mixed += auditor.audit(netplan::sessions_lookup(live)).mixed;
+        epochs.push_back(epoch);
+        barriers.push_back(barrier_ms);
+      });
 
-  EXPECT_TRUE(report.completed);
-  EXPECT_TRUE(report.merged.all_converged);
+  EXPECT_TRUE(report.all_completed);
+  EXPECT_TRUE(report.all_converged);
   EXPECT_EQ(mixed, 0u);
-  EXPECT_EQ(audits, 1 + plan.rounds.size());
-  EXPECT_EQ(report.rounds, plan.rounds.size());
-  ASSERT_EQ(report.round_end_ms.size(), fleet.epochs());
-  EXPECT_TRUE(std::is_sorted(report.round_end_ms.begin(),
-                             report.round_end_ms.end()));
-  EXPECT_GT(report.makespan_ms(), 0.0);
+  // One audit per epoch: the install, then every planner round, in order.
+  ASSERT_EQ(epochs.size(), 1 + plan.rounds.size());
+  for (size_t e = 0; e < epochs.size(); ++e) EXPECT_EQ(epochs[e], e + 1);
+  EXPECT_TRUE(std::is_sorted(barriers.begin(), barriers.end()));
+  EXPECT_EQ(barriers.back(), report.makespan_ms);
+  EXPECT_GT(report.makespan_ms, 0.0);
   // The chaotic wire actually fired.
   size_t dropped = 0;
-  for (const SessionStats& st : report.merged.sessions) dropped += st.wire.dropped;
+  for (const SessionStats& st : report.sessions) dropped += st.wire.dropped;
   EXPECT_GT(dropped, 0u);
 }
 
@@ -574,24 +576,25 @@ TEST(Fleet, ReportIsDeterministicAcrossThreadCounts) {
   const UpdatePlan plan =
       netplan::plan_update(topo, oldp, newp, {Strategy::kTwoPhase, 0});
 
-  auto run_with = [&](size_t threads) {
-    netplan::FleetConfig fc;
-    fc.runtime.knobs.faults = FaultSpec::chaos();
-    fc.runtime.fault_seed = 23;
-    fc.runtime.n_threads = threads;
-    fc.runtime.tcam_capacity = plan.peak_switch_rules + 16;
-    netplan::FleetController fleet(netplan::materialize(topo, plan), fc);
-    return fleet.run();
+  auto run_with = [&](size_t threads, std::vector<double>& barriers) {
+    RuntimeConfig cfg;
+    cfg.knobs.faults = FaultSpec::chaos();
+    cfg.fault_seed = 23;
+    cfg.n_threads = threads;
+    cfg.tcam_capacity = plan.peak_switch_rules + 16;
+    return Controller(cfg).run_fleet(
+        netplan::materialize(topo, plan),
+        [&](size_t, double barrier_ms, const runtime::FleetSessions&) {
+          barriers.push_back(barrier_ms);
+        });
   };
-  const netplan::FleetReport serial = run_with(1);
-  const netplan::FleetReport threaded = run_with(4);
-  EXPECT_TRUE(serial.merged.all_converged);
-  EXPECT_EQ(serial.merged.makespan_ms, threaded.merged.makespan_ms);
-  EXPECT_EQ(serial.merged.data_frames_sent, threaded.merged.data_frames_sent);
-  EXPECT_EQ(serial.merged.retransmits, threaded.merged.retransmits);
-  EXPECT_EQ(serial.merged.entry_writes, threaded.merged.entry_writes);
-  EXPECT_EQ(serial.round_end_ms, threaded.round_end_ms);
-  EXPECT_TRUE(serial.merged.ack_ms == threaded.merged.ack_ms);
+  std::vector<double> serial_barriers, threaded_barriers;
+  const RuntimeReport serial = run_with(1, serial_barriers);
+  const RuntimeReport threaded = run_with(4, threaded_barriers);
+  EXPECT_TRUE(serial.all_converged);
+  EXPECT_EQ(serial_barriers.size(), 1 + plan.rounds.size());
+  EXPECT_EQ(serial_barriers, threaded_barriers);
+  testutil::expect_reports_identical(serial, threaded);
 }
 
 // ---- Controller refactor regression -------------------------------------
@@ -608,57 +611,6 @@ CompiledWorkload small_workload(size_t updates, uint64_t seed) {
   churn.updates = updates;
   churn.seed = seed;
   return compile_churn_workload(spec, tables, churn);
-}
-
-/// Everything in a report that must be bit-identical between the legacy
-/// shared-log path and the per-switch-log fleet path when every switch
-/// replays the same log. firmware_ms is wall clock and excluded.
-void expect_reports_identical(const RuntimeReport& a, const RuntimeReport& b) {
-  ASSERT_EQ(a.sessions.size(), b.sessions.size());
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_EQ(a.epochs_applied(), b.epochs_applied());
-  EXPECT_EQ(a.data_frames_sent, b.data_frames_sent);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.resync_replays, b.resync_replays);
-  EXPECT_EQ(a.resyncs, b.resyncs);
-  EXPECT_EQ(a.stale_resyncs, b.stale_resyncs);
-  EXPECT_EQ(a.restarts, b.restarts);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.duplicates, b.duplicates);
-  EXPECT_EQ(a.nacks, b.nacks);
-  EXPECT_EQ(a.nack_retransmits, b.nack_retransmits);
-  EXPECT_EQ(a.crashes, b.crashes);
-  EXPECT_EQ(a.roll_forwards, b.roll_forwards);
-  EXPECT_EQ(a.recovered_writes, b.recovered_writes);
-  EXPECT_EQ(a.apply_failures, b.apply_failures);
-  EXPECT_EQ(a.table_full, b.table_full);
-  EXPECT_EQ(a.rolled_back, b.rolled_back);
-  EXPECT_EQ(a.entry_writes, b.entry_writes);
-  EXPECT_EQ(a.moves, b.moves);
-  EXPECT_EQ(a.makespan_ms, b.makespan_ms);  // exact: virtual time
-  EXPECT_EQ(a.all_converged, b.all_converged);
-  EXPECT_EQ(a.updates_per_s(), b.updates_per_s());
-  EXPECT_EQ(a.entry_writes_per_epoch(), b.entry_writes_per_epoch());
-  EXPECT_TRUE(a.ack_ms == b.ack_ms);
-  EXPECT_TRUE(a.channel_ms == b.channel_ms);
-  EXPECT_TRUE(a.tcam_ms == b.tcam_ms);
-  for (size_t i = 0; i < a.sessions.size(); ++i) {
-    const SessionStats& x = a.sessions[i];
-    const SessionStats& y = b.sessions[i];
-    EXPECT_EQ(x.epochs, y.epochs) << "session " << i;
-    EXPECT_EQ(x.data_frames_sent, y.data_frames_sent) << "session " << i;
-    EXPECT_EQ(x.retransmits, y.retransmits) << "session " << i;
-    EXPECT_EQ(x.resyncs, y.resyncs) << "session " << i;
-    EXPECT_EQ(x.restarts, y.restarts) << "session " << i;
-    EXPECT_EQ(x.acks, y.acks) << "session " << i;
-    EXPECT_TRUE(x.wire == y.wire) << "session " << i;
-    EXPECT_EQ(x.makespan_ms, y.makespan_ms) << "session " << i;
-    EXPECT_EQ(x.completed, y.completed) << "session " << i;
-    EXPECT_EQ(x.converged, y.converged) << "session " << i;
-    EXPECT_TRUE(x.ack_ms == y.ack_ms) << "session " << i;
-    EXPECT_TRUE(x.channel_ms == y.channel_ms) << "session " << i;
-    EXPECT_TRUE(x.tcam_ms == y.tcam_ms) << "session " << i;
-  }
 }
 
 TEST(Controller, FleetPathIsBitIdenticalToSharedLogPath) {
@@ -684,7 +636,7 @@ TEST(Controller, FleetPathIsBitIdenticalToSharedLogPath) {
   }
   Controller per_switch(cfg);
   const RuntimeReport b = per_switch.run_fleet(fleet);
-  expect_reports_identical(a, b);
+  testutil::expect_reports_identical(a, b);
 }
 
 TEST(Controller, FleetWithHeterogeneousLogs) {
@@ -705,6 +657,24 @@ TEST(Controller, FleetWithHeterogeneousLogs) {
   EXPECT_EQ(report.sessions[0].epochs, w1.epochs.size());
   EXPECT_EQ(report.sessions[1].epochs, w2.epochs.size());
   EXPECT_EQ(report.epochs_applied(), w1.epochs.size() + w2.epochs.size());
+}
+
+TEST(Controller, RoundGatedFleetRejectsLogsOfDifferentLength) {
+  // Round r must be the same epoch on every switch; ungated, heterogeneous
+  // lengths are fine (FleetWithHeterogeneousLogs above).
+  const CompiledWorkload w1 = small_workload(10, 7);
+  const CompiledWorkload w2 = small_workload(16, 8);
+  std::vector<SwitchWorkload> fleet;
+  fleet.push_back({runtime::encode_log(w1.epochs), w1.final_rules});
+  fleet.push_back({runtime::encode_log(w2.epochs), w2.final_rules});
+  size_t rounds = 0;
+  EXPECT_THROW(Controller(RuntimeConfig{})
+                   .run_fleet(fleet, [&](size_t, double,
+                                         const runtime::FleetSessions&) {
+                     ++rounds;
+                   }),
+               std::invalid_argument);
+  EXPECT_EQ(rounds, 0u);
 }
 
 }  // namespace

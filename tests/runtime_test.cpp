@@ -23,6 +23,7 @@
 #include "tcam/auditor.h"
 #include "util/logging.h"
 #include "util/rng.h"
+#include "runtime_report_util.h"
 
 namespace ruletris {
 namespace {
@@ -275,48 +276,6 @@ TEST(SwitchSession, EmptyEpochLogFinishesImmediately) {
   EXPECT_EQ(stats.data_frames_sent, 0u);
 }
 
-/// Everything in a report that must be bit-identical across thread counts.
-/// firmware_ms is wall clock and explicitly excluded.
-void expect_reports_identical(const RuntimeReport& a, const RuntimeReport& b) {
-  ASSERT_EQ(a.sessions.size(), b.sessions.size());
-  EXPECT_EQ(a.epochs, b.epochs);
-  EXPECT_EQ(a.data_frames_sent, b.data_frames_sent);
-  EXPECT_EQ(a.retransmits, b.retransmits);
-  EXPECT_EQ(a.resync_replays, b.resync_replays);
-  EXPECT_EQ(a.resyncs, b.resyncs);
-  EXPECT_EQ(a.restarts, b.restarts);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.duplicates, b.duplicates);
-  EXPECT_EQ(a.stale_resyncs, b.stale_resyncs);
-  EXPECT_EQ(a.nacks, b.nacks);
-  EXPECT_EQ(a.nack_retransmits, b.nack_retransmits);
-  EXPECT_EQ(a.crashes, b.crashes);
-  EXPECT_EQ(a.roll_forwards, b.roll_forwards);
-  EXPECT_EQ(a.recovered_writes, b.recovered_writes);
-  EXPECT_EQ(a.apply_failures, b.apply_failures);
-  EXPECT_EQ(a.table_full, b.table_full);
-  EXPECT_EQ(a.rolled_back, b.rolled_back);
-  EXPECT_EQ(a.makespan_ms, b.makespan_ms);  // exact: virtual time
-  EXPECT_EQ(a.all_converged, b.all_converged);
-  EXPECT_TRUE(a.ack_ms == b.ack_ms);
-  EXPECT_TRUE(a.channel_ms == b.channel_ms);
-  EXPECT_TRUE(a.tcam_ms == b.tcam_ms);
-  for (size_t i = 0; i < a.sessions.size(); ++i) {
-    const SessionStats& x = a.sessions[i];
-    const SessionStats& y = b.sessions[i];
-    EXPECT_EQ(x.data_frames_sent, y.data_frames_sent) << "session " << i;
-    EXPECT_EQ(x.retransmits, y.retransmits) << "session " << i;
-    EXPECT_EQ(x.resyncs, y.resyncs) << "session " << i;
-    EXPECT_EQ(x.restarts, y.restarts) << "session " << i;
-    EXPECT_EQ(x.acks, y.acks) << "session " << i;
-    EXPECT_TRUE(x.wire == y.wire) << "session " << i;
-    EXPECT_EQ(x.makespan_ms, y.makespan_ms) << "session " << i;
-    EXPECT_TRUE(x.ack_ms == y.ack_ms) << "session " << i;
-    EXPECT_TRUE(x.channel_ms == y.channel_ms) << "session " << i;
-    EXPECT_TRUE(x.tcam_ms == y.tcam_ms) << "session " << i;
-  }
-}
-
 TEST(Controller, FanOutConvergesAndIsDeterministicAcrossThreadCounts) {
   const CompiledWorkload wl = small_workload(30, 21);
 
@@ -338,10 +297,51 @@ TEST(Controller, FanOutConvergesAndIsDeterministicAcrossThreadCounts) {
   EXPECT_GT(serial.updates_per_s(), 0.0);
 
   const RuntimeReport threaded = run_with_threads(4);
-  expect_reports_identical(serial, threaded);
+  testutil::expect_reports_identical(serial, threaded);
 
   const RuntimeReport again = run_with_threads(4);
-  expect_reports_identical(serial, again);
+  testutil::expect_reports_identical(serial, again);
+}
+
+TEST(Controller, MergeSumsEverySessionCounter) {
+  // Each counter gets a distinct value in each session, so a counter merged
+  // into the wrong aggregate (or not at all) shows up as a wrong sum.
+  constexpr size_t kSessions = 3;
+  std::vector<SessionStats> stats(kSessions);
+  for (size_t i = 0; i < kSessions; ++i) {
+    size_t k = 0;
+#define SET_COUNTER(name) stats[i].name = 1000 * (i + 1) + ++k;
+    RULETRIS_SESSION_COUNTERS(SET_COUNTER)
+#undef SET_COUNTER
+#define ADD_SAMPLE(name) stats[i].name.add(static_cast<double>(++k));
+    RULETRIS_SESSION_HISTOGRAMS(ADD_SAMPLE)
+#undef ADD_SAMPLE
+  }
+  const RuntimeReport report = runtime::merge_session_stats(stats);
+
+  size_t counters = 0, histograms = 0;
+#define EXPECT_SUM(name)                              \
+  {                                                   \
+    ++counters;                                       \
+    size_t sum = 0;                                   \
+    for (const SessionStats& s : stats) sum += s.name; \
+    EXPECT_EQ(report.name, sum) << #name;             \
+  }
+  RULETRIS_SESSION_COUNTERS(EXPECT_SUM)
+#undef EXPECT_SUM
+#define EXPECT_MERGED(name)                                  \
+  {                                                          \
+    ++histograms;                                            \
+    util::Histogram merged;                                  \
+    for (const SessionStats& s : stats) merged.merge(s.name); \
+    EXPECT_TRUE(report.name == merged) << #name;             \
+  }
+  RULETRIS_SESSION_HISTOGRAMS(EXPECT_MERGED)
+#undef EXPECT_MERGED
+  // A member added to SessionTotals outside the two lists would escape the
+  // merge; the lists must account for the whole struct.
+  EXPECT_EQ(sizeof(runtime::SessionTotals),
+            counters * sizeof(size_t) + histograms * sizeof(util::Histogram));
 }
 
 TEST(SwitchAgent, CorruptFrameIsNackedNeverParsed) {

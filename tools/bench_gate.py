@@ -35,9 +35,12 @@ DEFAULT_IGNORE = ("wall_ms", "steals", "starved_pumps")
 
 # Per-benchmark row-identity overrides, applied when --key is not passed:
 # the chaos harness sweeps fault modes over one geometry, so rows are
-# identified by mode first.
+# identified by mode first; the netplan bench has one row per planner
+# strategy and the runtime sweep one per (switches, window) cell.
 PROFILES = {
     "chaos_recovery": ("mode", "switches", "shards", "threads"),
+    "netplan": ("strategy",),
+    "runtime_scaling": ("switches", "window"),
 }
 
 

@@ -50,27 +50,28 @@ for bench in chaos_recovery composition_scaling dag_extraction \
     || { echo "SMOKE FAILED: $bench"; exit 1; }
 done
 
-# Perf gate: the fleet harness is virtual-time deterministic, so a smoke
-# sweep must reproduce the committed baseline rows (same geometry cells)
-# within float-printing noise. Drift means the modelled system changed —
-# regenerate BENCH_fleet.json with `fleet_throughput --json` and commit it
-# with the change that moved the numbers.
-echo "=== fleet perf gate (smoke sweep vs committed BENCH_fleet.json)"
-fleet_fresh="$ROOT/build-check-$first_tree/BENCH_fleet.smoke.json"
-"$bench_dir/fleet_throughput" --smoke --json "$fleet_fresh" > /dev/null \
-  || { echo "SMOKE FAILED: fleet_throughput (gate run)"; exit 1; }
-python3 "$ROOT/tools/bench_gate.py" "$ROOT/BENCH_fleet.json" "$fleet_fresh" \
-  || { echo "PERF GATE FAILED: fleet_throughput drifted from baseline"; exit 1; }
-
-# Same gate for the chaos harness (fingerprint-exact, 2% numeric drift):
-# clean rows prove the fault layer costs nothing when unused, chaos rows
-# pin the recovery counters and latencies. Regenerate BENCH_chaos.json with
-# `chaos_recovery --json` when the modelled system legitimately moves.
-echo "=== chaos perf gate (vs committed BENCH_chaos.json)"
-chaos_fresh="$ROOT/build-check-$first_tree/BENCH_chaos.smoke.json"
-"$bench_dir/chaos_recovery" --smoke --json "$chaos_fresh" > /dev/null \
-  || { echo "SMOKE FAILED: chaos_recovery (gate run)"; exit 1; }
-python3 "$ROOT/tools/bench_gate.py" "$ROOT/BENCH_chaos.json" "$chaos_fresh" \
-  || { echo "PERF GATE FAILED: chaos_recovery drifted from baseline"; exit 1; }
+# Perf gates: every gated harness is virtual-time deterministic, so a fresh
+# run must reproduce the committed baseline rows (same cells) within
+# float-printing noise (fingerprints exactly). Drift means the modelled
+# system changed — regenerate the baseline with `<bench> --json` and commit
+# it with the change that moved the numbers.
+#   fleet_throughput  smoke sweep (same geometry cells as the full one)
+#   chaos_recovery    clean rows prove the fault layer costs nothing when
+#                     unused, chaos rows pin recovery counters and latencies
+#   netplan, runtime_scaling   full runs: both take well under a second
+for gate in "fleet_throughput --smoke:BENCH_fleet" \
+            "chaos_recovery --smoke:BENCH_chaos" \
+            "netplan:BENCH_netplan" "runtime_scaling:BENCH_runtime"; do
+  run="${gate%%:*}"
+  baseline="${gate#*:}"
+  bench="${run%% *}"
+  echo "=== $bench perf gate (vs committed $baseline.json)"
+  fresh="$ROOT/build-check-$first_tree/$baseline.fresh.json"
+  # shellcheck disable=SC2086  # $run carries the bench's flags
+  "$bench_dir/"$run --json "$fresh" > /dev/null \
+    || { echo "BENCH FAILED: $bench (gate run)"; exit 1; }
+  python3 "$ROOT/tools/bench_gate.py" "$ROOT/$baseline.json" "$fresh" \
+    || { echo "PERF GATE FAILED: $bench drifted from baseline"; exit 1; }
+done
 
 echo "=== all checks passed (trees: $CHECK_TREES)"

@@ -14,10 +14,12 @@
 //                 gen:nat:N (requires a router table named "router") |
 //                 file:PATH (ClassBench format)
 // Compilers:      ruletris (DAG firmware) | covisor | baseline (priority fw)
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,7 +37,6 @@
 #include "compiler/ruletris_compiler.h"
 #include "frozen/frozen.h"
 #include "netplan/auditor.h"
-#include "netplan/fleet.h"
 #include "netplan/materialize.h"
 #include "netplan/planner.h"
 #include "netplan/policy.h"
@@ -193,11 +194,30 @@ struct Options {
   std::exit(2);
 }
 
+/// Strict numeric parse for flag values: the whole string must be a number
+/// of T (no sign for unsigned T, no trailing junk, no overflow). std::stoul
+/// reads "-1" as 2^64 - 1 and "4x" as 4; this throws instead.
+template <typename T>
+T parse_number(const std::string& what, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    throw std::invalid_argument(what + ": malformed number '" + text + "'");
+  }
+  return value;
+}
+
 Options parse_args(int argc, char** argv) {
   Options opt;
   auto need_value = [&](int& i) -> std::string {
     if (i + 1 >= argc) usage(argv[0]);
     return argv[++i];
+  };
+  // The value of flag argv[i], parsed strictly as a T (the tag's type).
+  auto need_number = [&]<typename T>(int& i, T) -> T {
+    const std::string flag = argv[i];
+    return parse_number<T>(flag, need_value(i));
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -211,17 +231,17 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--churn") {
       opt.churn = need_value(i);
     } else if (arg == "--updates") {
-      opt.updates = static_cast<size_t>(std::stoul(need_value(i)));
+      opt.updates = need_number(i, size_t{});
     } else if (arg == "--seed") {
-      opt.seed = std::stoull(need_value(i));
+      opt.seed = need_number(i, uint64_t{});
     } else if (arg == "--compiler") {
       opt.compiler = need_value(i);
     } else if (arg == "--tcam-capacity") {
-      opt.capacity = static_cast<size_t>(std::stoul(need_value(i)));
+      opt.capacity = need_number(i, size_t{});
     } else if (arg == "--dag-threads") {
-      opt.dag_threads = static_cast<size_t>(std::stoul(need_value(i)));
+      opt.dag_threads = need_number(i, size_t{});
     } else if (arg == "--compile-threads") {
-      opt.compile_threads = static_cast<size_t>(std::stoul(need_value(i)));
+      opt.compile_threads = need_number(i, size_t{});
     } else if (arg == "--json") {
       opt.json_out = need_value(i);
     } else if (arg == "--freeze") {
@@ -237,27 +257,27 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--runtime") {
       opt.runtime = true;
     } else if (arg == "--switches") {
-      opt.switches = static_cast<size_t>(std::stoul(need_value(i)));
+      opt.switches = need_number(i, size_t{});
     } else if (arg == "--window") {
-      opt.window = static_cast<size_t>(std::stoul(need_value(i)));
+      opt.window = need_number(i, size_t{});
     } else if (arg == "--fault-seed") {
-      opt.fault_seed = std::stoull(need_value(i));
+      opt.fault_seed = need_number(i, uint64_t{});
     } else if (arg == "--crash-p") {
-      opt.crash_p = std::stod(need_value(i));
+      opt.crash_p = need_number(i, 0.0);
     } else if (arg == "--corrupt-p") {
-      opt.corrupt_p = std::stod(need_value(i));
+      opt.corrupt_p = need_number(i, 0.0);
     } else if (arg == "--fleet") {
       opt.fleet = true;
     } else if (arg == "--chaos") {
       opt.chaos = true;
     } else if (arg == "--shard-kill-ms") {
       opt.chaos = true;
-      opt.shard_kill_ms.push_back(std::stod(need_value(i)));
+      opt.shard_kill_ms.push_back(need_number(i, 0.0));
     } else if (arg == "--quarantine-after") {
       opt.chaos = true;
-      opt.quarantine_after = static_cast<size_t>(std::stoul(need_value(i)));
+      opt.quarantine_after = need_number(i, size_t{});
     } else if (arg == "--shards") {
-      opt.shards = static_cast<size_t>(std::stoul(need_value(i)));
+      opt.shards = need_number(i, size_t{});
     } else if (arg == "--netplan") {
       opt.netplan = true;
     } else if (arg == "--topology") {
@@ -267,17 +287,17 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--traffic") {
       opt.traffic = true;
     } else if (arg == "--flows") {
-      opt.flows = static_cast<size_t>(std::stoul(need_value(i)));
+      opt.flows = need_number(i, size_t{});
     } else if (arg == "--zipf-alpha") {
-      opt.zipf_alpha = std::stod(need_value(i));
+      opt.zipf_alpha = need_number(i, 0.0);
     } else if (arg == "--flow-churn") {
-      opt.flow_churn = std::stod(need_value(i));
+      opt.flow_churn = need_number(i, 0.0);
     } else if (arg == "--packets") {
-      opt.packets = static_cast<size_t>(std::stoul(need_value(i)));
+      opt.packets = need_number(i, size_t{});
     } else if (arg == "--epochs") {
-      opt.epochs = static_cast<size_t>(std::stoul(need_value(i)));
+      opt.epochs = need_number(i, size_t{});
     } else if (arg == "--threads") {
-      opt.threads = static_cast<size_t>(std::stoul(need_value(i)));
+      opt.threads = need_number(i, size_t{});
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       usage(argv[0]);
@@ -305,7 +325,7 @@ std::vector<Rule> make_table(const std::string& source,
   const size_t second = source.find(':', 4);
   if (second == std::string::npos) throw std::runtime_error("bad gen spec: " + source);
   const std::string kind = source.substr(4, second - 4);
-  const size_t n = static_cast<size_t>(std::stoul(source.substr(second + 1)));
+  const size_t n = parse_number<size_t>(source, source.substr(second + 1));
   if (kind == "router") return classbench::generate_router(n, rng);
   if (kind == "monitor") return classbench::generate_monitor(n, rng);
   if (kind == "firewall") return classbench::generate_firewall(n, rng);
@@ -317,6 +337,25 @@ std::vector<Rule> make_table(const std::string& source,
     return classbench::generate_nat(n, it->second, rng);
   }
   throw std::runtime_error("unknown generator: " + kind);
+}
+
+/// Window and fault flags of the --runtime and --netplan modes:
+/// --fault-seed picks the chaos wire mix; crash/corruption layer on top of
+/// whatever wire mix is active (a clean wire unless --fault-seed picked the
+/// chaos mix), seeded from --seed when no fault seed was given.
+runtime::RuntimeConfig runtime_config(const Options& opt) {
+  runtime::RuntimeConfig cfg;
+  cfg.knobs.window = opt.window;
+  if (opt.fault_seed) {
+    cfg.knobs.faults = runtime::FaultSpec::chaos();
+    cfg.fault_seed = *opt.fault_seed;
+  }
+  if (opt.crash_p || opt.corrupt_p) {
+    if (!opt.fault_seed) cfg.fault_seed = opt.seed;
+    if (opt.crash_p) cfg.knobs.faults.crash_p = *opt.crash_p;
+    if (opt.corrupt_p) cfg.knobs.faults.corrupt_p = *opt.corrupt_p;
+  }
+  return cfg;
 }
 
 Rule make_replacement(const std::string& source,
@@ -403,21 +442,20 @@ int main(int argc, char** argv) {
       fspec.updates_per_switch = opt.updates;
       fspec.seed = opt.seed;
       fspec.knobs.window = opt.window;
-      if (opt.fault_seed) {
+      if (opt.fault_seed) fspec.fault_seed = *opt.fault_seed;
+      if (opt.chaos) {
+        fspec.knobs.faults = runtime::FaultSpec::brownout();
+      } else if (opt.fault_seed) {
         fspec.knobs.faults = runtime::FaultSpec::chaos();
-        fspec.fault_seed = *opt.fault_seed;
       }
       if (opt.crash_p) fspec.knobs.faults.crash_p = *opt.crash_p;
       if (opt.corrupt_p) fspec.knobs.faults.corrupt_p = *opt.corrupt_p;
       if (opt.capacity) fspec.tcam_capacity = *opt.capacity;
       if (opt.chaos) {
-        // Default chaos: brownout wires, quarantine after 3 silent rounds,
-        // one shard kill at 0.5 ms (override with --shard-kill-ms, one
-        // kill per occurrence on shards 1, 2, ...) and an agent blackout
-        // on the last switch.
-        fspec.knobs.faults = runtime::FaultSpec::brownout();
-        if (opt.crash_p) fspec.knobs.faults.crash_p = *opt.crash_p;
-        if (opt.corrupt_p) fspec.knobs.faults.corrupt_p = *opt.corrupt_p;
+        // Default chaos: brownout wires (above), quarantine after 3 silent
+        // rounds, one shard kill at 0.5 ms (override with --shard-kill-ms,
+        // one kill per occurrence on shards 1, 2, ...) and an agent
+        // blackout on the last switch.
         fspec.knobs.retry.quarantine_after =
             opt.quarantine_after.value_or(3);
         std::vector<double> kills = opt.shard_kill_ms;
@@ -449,7 +487,7 @@ int main(int argc, char** argv) {
       const bool recovery_clean =
           report.failover_ok && report.runtime.readmit_failures == 0 &&
           report.runtime.rejoin_audit_violations == 0 &&
-          report.readmissions == report.quarantines;
+          report.runtime.readmissions == report.runtime.quarantines;
 
       std::printf("  %.0f updates/s sustained (%zu rule ops, makespan "
                   "%.1f ms, compile %.1f ms)\n",
@@ -469,7 +507,7 @@ int main(int argc, char** argv) {
                     "(%s), %zu quarantines, %zu re-admissions (%s)\n",
                     report.shard_kills, report.kills_escaped,
                     report.failovers, report.failover_ok ? "ok" : "FAILED",
-                    report.quarantines, report.readmissions,
+                    report.runtime.quarantines, report.runtime.readmissions,
                     recovery_clean ? "clean" : "VIOLATED");
       }
       if (auto* j = bench::json()) {
@@ -499,8 +537,10 @@ int main(int argc, char** argv) {
         j->field("shard_kills", static_cast<double>(report.shard_kills));
         j->field("failovers", static_cast<double>(report.failovers));
         j->field("failover_ok", report.failover_ok ? 1.0 : 0.0);
-        j->field("quarantines", static_cast<double>(report.quarantines));
-        j->field("readmissions", static_cast<double>(report.readmissions));
+        j->field("quarantines",
+                 static_cast<double>(report.runtime.quarantines));
+        j->field("readmissions",
+                 static_cast<double>(report.runtime.readmissions));
         j->field("readmit_failures",
                  static_cast<double>(report.runtime.readmit_failures));
         j->field("rejoin_audit_violations",
@@ -544,10 +584,8 @@ int main(int argc, char** argv) {
       double churn_rate = opt.flow_churn.value_or(0.0);
       if (!opt.flow_churn && !opt.churn.empty()) {
         try {
-          size_t used = 0;
-          const double v = std::stod(opt.churn, &used);
-          if (used == opt.churn.size()) churn_rate = v;
-        } catch (const std::exception&) {
+          churn_rate = parse_number<double>("--churn", opt.churn);
+        } catch (const std::invalid_argument&) {
           // a table name; traffic mode ignores it
         }
       }
@@ -679,41 +717,23 @@ int main(int argc, char** argv) {
 
       // Runtime: lower the plan to per-switch epoch logs and drive the
       // fleet-gated sessions, auditing the live TCAMs at every barrier.
-      const auto scripts = netplan::materialize(topo, plan);
-      netplan::FleetConfig fcfg;
-      fcfg.runtime.knobs.window = opt.window;
-      if (opt.fault_seed) {
-        fcfg.runtime.knobs.faults = runtime::FaultSpec::chaos();
-        fcfg.runtime.fault_seed = *opt.fault_seed;
-      }
-      if (opt.crash_p || opt.corrupt_p) {
-        if (!opt.fault_seed) fcfg.runtime.fault_seed = opt.seed;
-        if (opt.crash_p) fcfg.runtime.knobs.faults.crash_p = *opt.crash_p;
-        if (opt.corrupt_p) fcfg.runtime.knobs.faults.corrupt_p = *opt.corrupt_p;
-      }
-      fcfg.runtime.n_threads = std::max<size_t>(1, opt.threads);
-      fcfg.runtime.tcam_capacity =
-          opt.capacity.value_or(plan.peak_switch_rules + 32);
+      runtime::RuntimeConfig rcfg = runtime_config(opt);
+      rcfg.n_threads = std::max<size_t>(1, opt.threads);
+      rcfg.tcam_capacity = opt.capacity.value_or(plan.peak_switch_rules + 32);
 
-      netplan::FleetController fleet(scripts, fcfg);
       size_t live_audits = 0, live_mixed = 0;
-      const netplan::FleetReport freport =
-          fleet.run([&](size_t epoch, double barrier_ms) {
-            (void)epoch;
-            (void)barrier_ms;
-            const auto rep = auditor.audit(fleet.lookup());
-            ++live_audits;
-            live_mixed += rep.mixed;
-            for (const auto& v : rep.violations) {
-              util::log_info("fleet audit: " + v);
-            }
-          });
-
-      size_t crashes = 0, restarts = 0;
-      for (const auto& s : freport.merged.sessions) {
-        crashes += s.crashes;
-        restarts += s.restarts;
-      }
+      const runtime::RuntimeReport freport =
+          runtime::Controller(rcfg).run_fleet(
+              netplan::materialize(topo, plan),
+              [&](size_t, double, const runtime::FleetSessions& sessions) {
+                const auto rep =
+                    auditor.audit(netplan::sessions_lookup(sessions));
+                ++live_audits;
+                live_mixed += rep.mixed;
+                for (const auto& v : rep.violations) {
+                  util::log_info("fleet audit: " + v);
+                }
+              });
 
       std::printf("\nnetplan: %s (%zu switches), planner %s\n",
                   opt.topology.c_str(), topo.switch_count(),
@@ -731,9 +751,9 @@ int main(int argc, char** argv) {
                   auditor.probe_count(), sim_audits, sim_mixed);
       std::printf("  fleet     : makespan %.2f ms, %zu crashes, %zu restarts, "
                   "completed %s, converged %s\n",
-                  freport.makespan_ms(), crashes, restarts,
-                  freport.completed ? "yes" : "NO",
-                  freport.merged.all_converged ? "yes" : "NO");
+                  freport.makespan_ms, freport.crashes, freport.restarts,
+                  freport.all_completed ? "yes" : "NO",
+                  freport.all_converged ? "yes" : "NO");
       std::printf("  live audit: %zu boundaries, %zu mixed\n", live_audits,
                   live_mixed);
       const bool consistent = sim_mixed == 0 && live_mixed == 0;
@@ -757,18 +777,18 @@ int main(int argc, char** argv) {
         j->field("final_rules", static_cast<double>(plan.final_rules));
         j->field("peak_rules", static_cast<double>(plan.peak_rules));
         j->field("overhead_pct", plan.overhead_pct());
-        j->field("makespan_ms", freport.makespan_ms());
+        j->field("makespan_ms", freport.makespan_ms);
         j->field("sim_audits", static_cast<double>(sim_audits));
         j->field("sim_violations", static_cast<double>(sim_mixed));
         j->field("live_audits", static_cast<double>(live_audits));
         j->field("live_violations", static_cast<double>(live_mixed));
-        j->field("crashes", static_cast<double>(crashes));
-        j->field("restarts", static_cast<double>(restarts));
-        j->field("completed", freport.completed ? 1.0 : 0.0);
-        j->field("converged", freport.merged.all_converged ? 1.0 : 0.0);
+        j->field("crashes", static_cast<double>(freport.crashes));
+        j->field("restarts", static_cast<double>(freport.restarts));
+        j->field("completed", freport.all_completed ? 1.0 : 0.0);
+        j->field("converged", freport.all_converged ? 1.0 : 0.0);
         bench::write_json();
       }
-      return (consistent && freport.completed && freport.merged.all_converged)
+      return (consistent && freport.all_completed && freport.all_converged)
                  ? 0
                  : 1;
     }
@@ -806,20 +826,8 @@ int main(int argc, char** argv) {
           runtime::compile_churn_workload(spec, tables_for(), churn_spec);
       const double compile_wall_ms = compile_watch.elapsed_ms();
 
-      runtime::RuntimeConfig cfg;
+      runtime::RuntimeConfig cfg = runtime_config(opt);
       cfg.n_switches = opt.switches;
-      cfg.knobs.window = opt.window;
-      if (opt.fault_seed) {
-        cfg.knobs.faults = runtime::FaultSpec::chaos();
-        cfg.fault_seed = *opt.fault_seed;
-      }
-      if (opt.crash_p || opt.corrupt_p) {
-        // Crash/corruption layer on top of whatever wire mix is active
-        // (a clean wire unless --fault-seed picked the chaos mix).
-        if (!opt.fault_seed) cfg.fault_seed = opt.seed;
-        if (opt.crash_p) cfg.knobs.faults.crash_p = *opt.crash_p;
-        if (opt.corrupt_p) cfg.knobs.faults.corrupt_p = *opt.corrupt_p;
-      }
       cfg.n_threads = std::min<size_t>(
           opt.switches, std::max(1u, std::thread::hardware_concurrency()));
       cfg.tcam_capacity = opt.capacity.value_or(workload.suggested_capacity());
