@@ -6,11 +6,14 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -20,15 +23,41 @@
 
 namespace ruletris::bench {
 
+/// Strict numeric parse for flag values: the whole string must be a number
+/// of T (no sign for unsigned T, no trailing junk, no overflow). std::stoul
+/// reads "-1" as 2^64 - 1 and "4x" as 4; this throws instead.
+template <typename T>
+T parse_number(const std::string& what, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) {
+    throw std::invalid_argument(what + ": malformed number '" + text + "'");
+  }
+  return value;
+}
+
+/// parse_number for a command-line or environment value: a malformed one
+/// prints "error: <what>: malformed number '<text>'" and exits with code 2.
+template <typename T>
+T flag_number(const std::string& what, const std::string& text) {
+  try {
+    return parse_number<T>(what, text);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
+}
+
 /// Number of sequential updates fed to each compiler. The paper uses 1000;
 /// the default is lower so the full suite runs in minutes — override with
-/// RULETRIS_UPDATES=1000 to match the paper exactly.
+/// RULETRIS_UPDATES=1000 to match the paper exactly (0 or empty keeps the
+/// default).
 inline size_t updates_per_run(size_t fallback = 200) {
-  if (const char* env = std::getenv("RULETRIS_UPDATES")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return fallback;
+  const char* env = std::getenv("RULETRIS_UPDATES");
+  if (env == nullptr || *env == '\0') return fallback;
+  const size_t v = flag_number<size_t>("RULETRIS_UPDATES", env);
+  return v > 0 ? v : fallback;
 }
 
 /// Version of the emitted JSON document format. Bump when the envelope

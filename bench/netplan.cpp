@@ -77,9 +77,9 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--topology") {
       opt.topology = value();
     } else if (arg == "--flows") {
-      opt.flows = static_cast<size_t>(std::stoul(value()));
+      opt.flows = bench::flag_number<size_t>(arg, value());
     } else if (arg == "--threads") {
-      opt.threads = static_cast<size_t>(std::stoul(value()));
+      opt.threads = bench::flag_number<size_t>(arg, value());
     } else if (arg == "--seeds") {
       opt.fault_seeds.clear();
       std::string list = value();
@@ -87,11 +87,12 @@ Options parse_args(int argc, char** argv) {
       while (pos < list.size()) {
         size_t comma = list.find(',', pos);
         if (comma == std::string::npos) comma = list.size();
-        opt.fault_seeds.push_back(std::stoull(list.substr(pos, comma - pos)));
+        opt.fault_seeds.push_back(
+            bench::flag_number<uint64_t>(arg, list.substr(pos, comma - pos)));
         pos = comma + 1;
       }
     } else if (arg == "--seed") {
-      opt.seed = std::stoull(value());
+      opt.seed = bench::flag_number<uint64_t>(arg, value());
     } else if (arg == "--json") {
       ++i;  // consumed by bench::init_json
     } else {

@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<size_t>(std::atol(argv[i + 1]));
+      threads = bench::flag_number<size_t>("--threads", argv[i + 1]);
     }
   }
   bench::init_json(argc, argv, "runtime_scaling");

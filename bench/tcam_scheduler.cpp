@@ -444,7 +444,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--legacy-search") == 0) legacy_only = true;
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<size_t>(std::atol(argv[i + 1]));
+      threads = ruletris::bench::flag_number<size_t>("--threads", argv[i + 1]);
     }
   }
   ruletris::bench::init_json(argc, argv, "tcam_scheduler");

@@ -63,7 +63,7 @@ Args parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) a.smoke = true;
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      a.threads = static_cast<size_t>(std::atol(argv[++i]));
+      a.threads = bench::flag_number<size_t>("--threads", argv[++i]);
     }
   }
   if (a.threads == 0) a.threads = 1;

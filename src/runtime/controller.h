@@ -1,10 +1,10 @@
 // Controller of the asynchronous runtime: N switch sessions, each driven by
-// an epoch log. Historically every session replayed one shared log; the
-// netplan planner projects *different* rules onto different switches, so the
-// fleet entry point takes one (log, expected) workload per switch, and
-// drives the planner's barrier-fenced rounds when given a round observer.
-// The shared-log run() is a thin wrapper: encode once, hand every switch
-// the same immutable bytes.
+// its own epoch log (the netplan planner projects different rules onto
+// different switches), and the one fleet driver every multi-session run
+// goes through — free-running, round-gated for the planner's barrier-fenced
+// rounds, or fed by the sharded controller's compile shards. The shared-log
+// run() is a thin wrapper: encode once, hand every switch the same
+// immutable bytes.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +17,7 @@
 #include "runtime/config.h"
 #include "runtime/session.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace ruletris::runtime {
 
@@ -77,8 +78,43 @@ struct RuntimeReport : SessionTotals {
 /// controller, which produces its SessionStats via pipelined stepping.
 RuntimeReport merge_session_stats(std::vector<SessionStats> results);
 
-/// Live sessions of a round-gated fleet run, indexed like the fleet.
+/// Live sessions of a fleet run, indexed like the fleet.
 using FleetSessions = std::vector<std::unique_ptr<SwitchSession>>;
+
+/// Session i's config: the fleet's shared knobs plus a fault stream of its
+/// own, hash_pair(fault_seed, i + 1) — the fault behaviour of switch i never
+/// depends on how many switches run or on scheduling.
+SessionConfig fleet_session_config(const SessionKnobs& knobs,
+                                   uint64_t fault_seed, size_t i,
+                                   size_t tcam_capacity);
+
+/// The fleet driver. pump() drives every session to `gate`
+/// (SwitchSession::pump) on workers() = min(n_threads, sessions) workers,
+/// one pool reused across calls; each worker sweeps every session, claiming
+/// it with a try-lock, until all have *settled*: done, past the deadline,
+/// committed through `gate`, or — without a producer — idle. `settled(i)`
+/// runs on the worker that saw session i settle; the driver never touches
+/// session i again, so the hook may release it. `produce(worker)`, when
+/// set, runs after each sweep (the sharded controller compiles there) and
+/// reports whether it made progress; a session pump without progress then
+/// counts as starved instead of settling. Sessions share nothing mutable,
+/// so the schedule never shows in a result. An error stops the run and is
+/// rethrown: the producer's first, then the sessions' in index order.
+class FleetDriver {
+ public:
+  FleetDriver(size_t n_threads, size_t sessions);
+
+  size_t workers() const { return workers_; }
+
+  /// Returns the number of starved pumps.
+  size_t pump(const FleetSessions& sessions, uint64_t gate,
+              const std::function<void(size_t i)>& settled = {},
+              const std::function<bool(size_t worker)>& produce = {});
+
+ private:
+  size_t workers_;
+  std::unique_ptr<util::ThreadPool> pool_;  // null with one worker
+};
 
 /// Called after each fleet-wide round barrier: `epoch` is the epoch every
 /// switch just committed (1 = the first), `barrier_ms` the fleet clock the
@@ -91,8 +127,8 @@ using RoundObserver = std::function<void(size_t epoch, double barrier_ms,
 /// batch exactly once (the encoded bytes are the unit both the channel
 /// charge and the wire faults operate on), replicates the log to every
 /// switch session — each session a private virtual-time event loop — and
-/// merges the per-session reports. Session loops execute on a ThreadPool
-/// when cfg.n_threads > 1; because sessions share nothing mutable and each
+/// merges the per-session reports. Sessions run on a FleetDriver with
+/// cfg.n_threads workers; because they share nothing mutable and each
 /// derives its own fault stream from (fault_seed, session index), the
 /// report is bit-identical for every thread count.
 class Controller {
@@ -114,7 +150,8 @@ class Controller {
   /// may not leave the controller until every switch has committed e - 1;
   /// after each round every clock parks at the slowest session's commit
   /// time (the barrier) and the observer runs. Rounds stop at the first
-  /// epoch some switch fails to commit. Round e must be the same epoch on
+  /// epoch some switch fails to commit before its virtual deadline; the
+  /// observer does not run for it. Round e must be the same epoch on
   /// every switch, so gated logs must all have the same length
   /// (std::invalid_argument otherwise).
   RuntimeReport run_fleet(const std::vector<SwitchWorkload>& fleet,

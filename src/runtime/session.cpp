@@ -1,6 +1,7 @@
 #include "runtime/session.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "tcam/auditor.h"
 #include "tcam/tcam.h"
@@ -17,11 +18,9 @@ void SessionTotals::add(const SessionTotals& other) {
 #undef RULETRIS_MERGE_HISTOGRAM
 }
 
-SwitchSession::SwitchSession(const SessionConfig& config,
-                             const std::vector<EncodedEpoch>& epochs)
+SwitchSession::SwitchSession(const SessionConfig& config, const EpochSource& source)
     : cfg_(config),
-      owned_source_(std::make_unique<VectorEpochSource>(epochs)),
-      source_(owned_source_.get()),
+      source_(&source),
       wire_(config.knobs.channel, config.knobs.faults,
             util::mix64(config.seed ^ 0x71c3)),
       // A separate restart stream: restart times must not shift when the
@@ -40,29 +39,13 @@ SwitchSession::SwitchSession(const SessionConfig& config,
   stats_.epochs = source_->available();
 }
 
-SwitchSession::SwitchSession(const SessionConfig& config, const EpochSource& source)
-    : cfg_(config),
-      source_(&source),
-      wire_(config.knobs.channel, config.knobs.faults,
-            util::mix64(config.seed ^ 0x71c3)),
-      restart_rng_(util::mix64(config.seed ^ 0x7e57a27)),
-      backoff_rng_(util::mix64(config.seed ^ 0xbacc0ff5)),
-      agent_(config.tcam_capacity, config.knobs.channel,
-             config.knobs.faults.crash_p, util::mix64(config.seed ^ 0xc4a54)) {
-  if (cfg_.knobs.window == 0) cfg_.knobs.window = 1;
-  first_send_ms_.assign(source_->available() + 1, -1.0);
-  stats_.epochs = source_->available();
-}
-
 SessionStats SwitchSession::run(const std::vector<flowspace::Rule>& expected) {
-  start();
-  while (!done_ && events_.run_next()) {
-    if (events_.now() > cfg_.knobs.deadline_ms) break;  // safety net, not control
-  }
+  pump();
   return finalize(expected);
 }
 
 void SwitchSession::start() {
+  started_ = true;
   if (source_->complete() && source_->available() == 0) {
     finish();
     return;
@@ -70,21 +53,6 @@ void SwitchSession::start() {
   send_window();
   arm_timer();
   schedule_restart();
-}
-
-void SwitchSession::set_send_limit(uint64_t max_epoch) {
-  send_limit_ = max_epoch;
-  // Raising the gate opens window slots immediately (the retry timer is
-  // already armed; a lost first send is retransmitted like any other).
-  if (!done_) send_window();
-}
-
-bool SwitchSession::run_until_committed(uint64_t epoch) {
-  while (!done_ && base_ <= epoch) {
-    if (!events_.run_next()) return false;        // stalled: nothing queued
-    if (events_.now() > cfg_.knobs.deadline_ms) return false;
-  }
-  return done_ || base_ > epoch;
 }
 
 SessionStats SwitchSession::finalize(const std::vector<flowspace::Rule>& expected) {
@@ -98,18 +66,13 @@ SessionStats SwitchSession::finalize(const std::vector<flowspace::Rule>& expecte
   return stats_;
 }
 
-uint64_t SwitchSession::highest_sendable() const {
-  return std::min<uint64_t>(source_->available(), send_limit_);
-}
-
 void SwitchSession::send_window() {
   if (quarantined_) return;  // probes own the wire until re-admission
-  const uint64_t highest = highest_sendable();
+  const uint64_t highest = std::min<uint64_t>(source_->available(), send_limit_);
   while (next_to_send_ <= highest && next_to_send_ < base_ + cfg_.knobs.window) {
     // A sealed-but-not-yet-virtually-ready epoch stays gated here; the
-    // pump_published() loop sends it once the clock reaches its ready time.
-    // Complete vector logs have ready 0, so this never gates the classic
-    // path.
+    // pump() loop sends it once the clock reaches its ready time. Complete
+    // vector logs have ready 0, so this never gates them.
     if (source_->ready_ms(next_to_send_) > events_.now()) break;
     send_epoch(next_to_send_, SendKind::kFirst);
     ++next_to_send_;
@@ -281,7 +244,7 @@ void SwitchSession::maybe_finish() {
   // Done only when the log is final *and* fully committed. With a growing
   // source the completion flag may flip after the last ack was processed
   // (the producer's close races the consumer in wall time, never in
-  // virtual time) — pump_published() re-checks via this path.
+  // virtual time) — pump() re-checks via this path.
   if (done_) return;
   if (source_->complete() && base_ > source_->available() &&
       next_to_send_ > source_->available()) {
@@ -443,7 +406,9 @@ void SwitchSession::on_resync(uint64_t last_applied) {
   arm_timer();
 }
 
-bool SwitchSession::pump_published() {
+bool SwitchSession::pump(uint64_t gate) {
+  send_limit_ = gate;
+  if (!started_) start();
   // Events and gated first sends interleave in strict virtual-time order,
   // bounded by the sealed horizon: ready_ms is strictly increasing, so any
   // still-unsealed epoch's send lies strictly beyond ready_ms(available()),
@@ -455,8 +420,7 @@ bool SwitchSession::pump_published() {
   bool progress = false;
   for (;;) {
     maybe_finish();
-    if (done_) return progress;
-    if (events_.now() > cfg_.knobs.deadline_ms) return false;  // safety net
+    if (done_ || past_deadline() || base_ > send_limit_) return progress;
     // Read complete() before available(): the source's contract makes a
     // count read after a true completion flag final, so a racing "publish
     // last epoch, then close" can never yield (complete, stale count) here.
@@ -472,7 +436,7 @@ bool SwitchSession::pump_published() {
     }
     const double t_event = events_.next_due();
     if (t_send <= t_event) {  // tie resolves send-first, deterministically
-      if (t_send == kInf) return progress;  // idle: starved on the compiler
+      if (t_send == kInf) return progress;  // idle, or starved on the compiler
       // A sealed epoch's send never exceeds the horizon (ready monotone),
       // so advancing the clock to it is always safe.
       events_.advance_to(t_send);

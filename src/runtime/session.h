@@ -53,19 +53,19 @@ struct EncodedEpoch {
   size_t messages = 0;
 };
 
-/// Where a session's epochs come from. Historically a session replayed a
-/// fixed pre-encoded vector; the sharded controller instead feeds sessions
-/// from lock-free publication rings that grow while the session runs, so
-/// the log is an interface: a monotone count of sealed epochs, a completion
-/// flag, and a per-epoch *virtual ready time* — the compile shard's virtual
-/// clock when it sealed the epoch. A session never sends epoch e before
-/// ready_ms(e) on its own virtual clock, which is what makes the pipelined
-/// compile→transmit overlap show up in virtual time, deterministically.
+/// Where a session's epochs come from: a monotone count of sealed epochs, a
+/// completion flag, and a per-epoch *virtual ready time*. A fixed log
+/// (VectorEpochSource) is complete from the start with every epoch ready at
+/// t=0; the sharded controller's publication rings grow while the session
+/// runs, and an epoch's ready time is the compile shard's virtual clock when
+/// it sealed the epoch. A session never sends epoch e before ready_ms(e) on
+/// its own virtual clock, which is what makes the pipelined compile→transmit
+/// overlap show up in virtual time, deterministically.
 ///
 /// Contract: available() is monotone non-decreasing; an available() call
 /// *after* complete() returned true returns the final count (callers read
 /// complete() first, then available()); ready_ms must be strictly
-/// increasing in the epoch number (the horizon rule in pump_published()
+/// increasing in the epoch number (the horizon rule in SwitchSession::pump()
 /// relies on it to keep event order independent of wall-clock publication
 /// timing).
 class EpochSource {
@@ -81,9 +81,8 @@ class EpochSource {
   virtual double ready_ms(uint64_t e) const = 0;
 };
 
-/// A fully materialized log: every epoch available and ready at t=0. This
-/// is the classic shared-log path; sessions on a VectorEpochSource behave
-/// exactly as they did before the source abstraction existed.
+/// A fully materialized log: every epoch available and ready at t=0, so the
+/// sealed horizon is infinite and sends are gated by the window alone.
 class VectorEpochSource final : public EpochSource {
  public:
   explicit VectorEpochSource(const std::vector<EncodedEpoch>& epochs)
@@ -163,73 +162,53 @@ struct SessionStats : SessionTotals {
 
 class SwitchSession {
  public:
-  /// `epochs` is the controller's shared encoded log; it must outlive the
-  /// session and is read-only here.
-  SwitchSession(const SessionConfig& config, const std::vector<EncodedEpoch>& epochs);
-
-  /// Feeds the session from a growing source (the sharded-controller path).
-  /// `source` must outlive the session. Drive with start() +
-  /// pump_published(); run() also works once the source is complete.
+  /// `source` is the session's epoch log; it must outlive the session and
+  /// is read-only here.
   SwitchSession(const SessionConfig& config, const EpochSource& source);
 
+  /// The session's one event loop. Runs events and first sends in strict
+  /// virtual-time order until the session is done, epoch `gate` is
+  /// committed (cumulatively acked), the virtual deadline has passed, or no
+  /// further progress is possible: the loop is idle, or the next event lies
+  /// beyond the sealed horizon. Epochs above `gate` never leave the
+  /// controller. The first call starts the session (arms the retry timer
+  /// and the restart schedule, opens the window up to `gate`); a fleet
+  /// starts gated sessions under gate 0 so those events are posted before
+  /// the first send.
+  ///
+  /// The horizon rule: with epochs still unsealed, their (strictly later)
+  /// ready times could demand a send below any event beyond the horizon,
+  /// so the session *wall-blocks* there instead of guessing — which keeps
+  /// the virtual trajectory a pure function of the workload, bit-identical
+  /// across thread counts and scheduling. A complete source has an
+  /// infinite horizon. Ties between a send and an event at the same
+  /// virtual time resolve send-first, deterministically.
+  ///
+  /// Returns true if any event ran or any epoch was sent.
+  bool pump(uint64_t gate = UINT64_MAX);
+
   /// Drives the session to completion (every epoch acked) or to the virtual
-  /// deadline, then verifies convergence: the agent's TCAM must hold
-  /// exactly `expected` (id, match and actions) and satisfy every DAG
-  /// constraint.
+  /// deadline, then verifies convergence against `expected`.
   SessionStats run(const std::vector<flowspace::Rule>& expected);
 
-  // ---- Stepped (fleet-gated) driving -----------------------------------
-  // Controller::run_fleet with a round observer paces N sessions through
-  // barrier-fenced rounds: raise the send gate to round e, pump each
-  // session until e is committed, then park every clock at the slowest
-  // peer's commit time.
-  // run() above is exactly start() + pump-everything + finalize().
-
-  /// Arms timers/restarts and opens the initial window (bounded by the send
-  /// gate). Call once, before any run_until_committed().
-  void start();
-
-  /// Epochs above `max_epoch` may not leave the controller. Raising the
-  /// gate refills the window immediately. Default: no gate.
-  void set_send_limit(uint64_t max_epoch);
-
-  /// Pumps the event loop until epoch `epoch` is committed (cumulatively
-  /// acked). Returns false if the session stalled or hit its deadline
-  /// first. Epochs beyond the send gate never commit — gate first.
-  bool run_until_committed(uint64_t epoch);
+  /// Collects final stats and verifies convergence: the agent's TCAM must
+  /// hold exactly `expected` (id, match and actions) and satisfy every DAG
+  /// constraint.
+  SessionStats finalize(const std::vector<flowspace::Rule>& expected);
 
   /// Parks the session's virtual clock at `t` (a fleet round barrier).
   void advance_clock(double t) { events_.advance_to(t); }
 
-  // ---- Pipelined (growing-source) driving ------------------------------
-  // The sharded controller's dispatch workers pump sessions whose logs are
-  // still being compiled. pump_published() runs events and gated first
-  // sends in strict virtual-time order, but never past the source's sealed
-  // horizon: with epochs still unsealed, their (strictly later) ready times
-  // could demand a send below any event beyond the horizon, so the session
-  // *wall-blocks* there instead of guessing — which is exactly what makes
-  // the virtual trajectory a pure function of the workload, bit-identical
-  // across thread counts and scheduling. Ties between a gated send and an
-  // event at the same virtual time resolve send-first, deterministically.
-
-  /// Makes as much progress as the sealed horizon allows. Returns true if
-  /// any event ran or any epoch was sent; false means the session is done,
-  /// starved on an unsealed epoch (caller should go compile), or past its
-  /// deadline.
-  bool pump_published();
-
-  /// Collects final stats and verifies convergence against `expected`.
-  SessionStats finalize(const std::vector<flowspace::Rule>& expected);
-
   double now_ms() const { return events_.now(); }
+  bool past_deadline() const { return events_.now() > cfg_.knobs.deadline_ms; }
   uint64_t committed() const { return base_ - 1; }
   bool done() const { return done_; }
 
   const SwitchAgent& agent() const { return agent_; }
 
  private:
+  void start();
   void send_window();
-  uint64_t highest_sendable() const;
   void maybe_finish();
   enum class SendKind { kFirst, kRetransmit, kResyncReplay, kNackResend };
   void send_epoch(uint64_t epoch, SendKind kind);
@@ -258,7 +237,6 @@ class SwitchSession {
   void verify(const std::vector<flowspace::Rule>& expected);
 
   SessionConfig cfg_;
-  std::unique_ptr<VectorEpochSource> owned_source_;  // vector-log convenience
   const EpochSource* source_;
   EventQueue events_;
   FaultyWire wire_;
@@ -267,7 +245,8 @@ class SwitchSession {
   SwitchAgent agent_;
   uint64_t base_ = 1;          // oldest uncommitted epoch
   uint64_t next_to_send_ = 1;  // next epoch to leave the controller
-  uint64_t send_limit_ = UINT64_MAX;  // fleet round gate (inclusive)
+  uint64_t send_limit_ = UINT64_MAX;  // pump() gate (inclusive)
+  bool started_ = false;
   std::vector<double> first_send_ms_;  // per epoch, for ack latency
   uint64_t timer_generation_ = 0;
   size_t silent_rounds_ = 0;   // consecutive retry rounds without ack progress

@@ -7,7 +7,6 @@
 #include <limits>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "classbench/generator.h"
@@ -80,20 +79,6 @@ class RingEpochSource final : public EpochSource {
   std::atomic<uint64_t> primary_count_{0};
 };
 
-/// One-owner-at-a-time claim for the work-stealing sweep.
-class TryLock {
- public:
-  bool try_acquire() {
-    bool expected = false;
-    return locked_.compare_exchange_strong(expected, true,
-                                           std::memory_order_acquire);
-  }
-  void release() { locked_.store(false, std::memory_order_release); }
-
- private:
-  std::atomic<bool> locked_{false};
-};
-
 struct SwitchSlot {
   size_t index = 0;
   /// Private rule-id namespace: every id this switch's tables, compiler and
@@ -138,15 +123,6 @@ struct SwitchSlot {
   /// frontier before the adopter seals anything into it.
   std::unique_ptr<frozen::PublishRing<SealedEpoch>> cont_ring;
   std::unique_ptr<RingEpochSource> source;
-
-  // Session side — guarded by `lock`.
-  std::unique_ptr<SwitchSession> session;
-  TryLock lock;
-  bool started = false;
-  size_t starved = 0;
-  SessionStats stats;
-  std::string error;
-  std::atomic<bool> finished{false};
 };
 
 /// A switch orphaned by a shard kill, queued for adoption. kill_at gates
@@ -166,8 +142,7 @@ struct CompileShard {
   size_t remaining = 0;  // engines not yet complete
   double vt_ms = 0.0;    // the shard's virtual compile clock
   size_t steps = 0;
-  std::string error;
-  TryLock lock;
+  util::TryLock lock;
   std::atomic<bool> done{false};
 
   // Chaos state.
@@ -181,9 +156,7 @@ struct CompileShard {
 struct Fleet {
   std::vector<std::unique_ptr<SwitchSlot>> slots;
   std::vector<std::unique_ptr<CompileShard>> shards;
-  std::atomic<size_t> live_sessions{0};
   std::atomic<size_t> steals{0};
-  std::atomic<bool> failed{false};
 
   /// One entry per scheduled kill; resolved once the kill fired or the
   /// shard escaped by finishing first. The release store happens after the
@@ -507,78 +480,32 @@ bool run_shard_quantum(CompileShard& shard, Fleet& fleet,
   return progress;
 }
 
-/// Pumps one session as far as its sealed horizon allows. Caller holds the
-/// slot lock. Returns true if the session made progress.
-bool pump_slot(SwitchSlot& slot, const FleetSpec& spec, Fleet& fleet) {
-  if (slot.finished.load(std::memory_order_relaxed)) return false;
-  try {
-    if (!slot.started) {
-      slot.session->start();
-      slot.started = true;
-    }
-    const bool progress = slot.session->pump_published();
-    if (slot.session->done()) {
-      // done ⇒ the session observed closed(), so slot.expected is visible
-      // and the shard will never write this slot again.
-      slot.stats = slot.session->finalize(slot.expected);
-    } else if (!progress) {
-      if (slot.session->now_ms() > spec.knobs.deadline_ms) {
-        // Deadline miss with the compile possibly still running: finalize
-        // against nothing (reports non-convergence) rather than racing the
-        // shard for slot.expected.
-        slot.stats = slot.session->finalize({});
-      } else {
-        ++slot.starved;  // sealed horizon reached; go compile instead
-        return false;
-      }
-    } else {
-      return true;
-    }
-  } catch (const std::exception& e) {  // workers must not throw
-    slot.error = e.what();
-    fleet.failed.store(true, std::memory_order_relaxed);
-  }
-  slot.finished.store(true, std::memory_order_relaxed);
-  fleet.live_sessions.fetch_sub(1, std::memory_order_acq_rel);
-  return true;
-}
-
-/// One dispatch worker: sweep sessions, then steal compile work. Workers
-/// are symmetric — "stealing" is just running a quantum for a shard whose
-/// home worker (index % n_threads) is someone else.
-void worker_loop(Fleet& fleet, const FleetSpec& spec, size_t worker,
-                 size_t n_threads) {
-  const size_t n_slots = fleet.slots.size();
+/// The compile half of a dispatch worker's sweep (the FleetDriver's producer):
+/// run one quantum for every shard the worker can claim. Workers are
+/// symmetric — "stealing" is just running a quantum for a shard whose home
+/// worker (index % workers) is someone else.
+bool compile_sweep(Fleet& fleet, const FleetSpec& spec, size_t worker,
+                   size_t workers) {
   const size_t n_shards = fleet.shards.size();
-  const size_t slot_offset = n_slots == 0 ? 0 : (worker * n_slots) / n_threads;
-  while (fleet.live_sessions.load(std::memory_order_acquire) > 0 &&
-         !fleet.failed.load(std::memory_order_relaxed)) {
-    bool progress = false;
-    for (size_t k = 0; k < n_slots; ++k) {
-      SwitchSlot& slot = *fleet.slots[(slot_offset + k) % n_slots];
-      if (slot.finished.load(std::memory_order_relaxed)) continue;
-      if (!slot.lock.try_acquire()) continue;
-      progress |= pump_slot(slot, spec, fleet);
-      slot.lock.release();
+  bool progress = false;
+  for (size_t k = 0; k < n_shards; ++k) {
+    CompileShard& shard = *fleet.shards[(worker + k) % n_shards];
+    if (shard.done.load(std::memory_order_acquire)) continue;
+    if (!shard.lock.try_acquire()) continue;
+    if (shard.index % workers != worker) {
+      fleet.steals.fetch_add(1, std::memory_order_relaxed);
     }
-    for (size_t k = 0; k < n_shards; ++k) {
-      CompileShard& shard = *fleet.shards[(worker + k) % n_shards];
-      if (shard.done.load(std::memory_order_acquire)) continue;
-      if (!shard.lock.try_acquire()) continue;
-      if (shard.index % n_threads != worker) {
-        fleet.steals.fetch_add(1, std::memory_order_relaxed);
-      }
-      try {
-        progress |= run_shard_quantum(shard, fleet, spec);
-      } catch (const std::exception& e) {
-        shard.error = e.what();
-        shard.done.store(true, std::memory_order_release);
-        fleet.failed.store(true, std::memory_order_relaxed);
-      }
+    try {
+      progress |= run_shard_quantum(shard, fleet, spec);
+    } catch (const std::exception& e) {
+      shard.done.store(true, std::memory_order_release);
       shard.lock.release();
+      throw std::runtime_error("fleet shard " + std::to_string(shard.index) +
+                               ": " + e.what());
     }
-    if (!progress) std::this_thread::yield();
+    shard.lock.release();
   }
+  return progress;
 }
 
 }  // namespace
@@ -648,7 +575,6 @@ FleetReport ShardedController::run() {
   const auto wall_start = std::chrono::steady_clock::now();
   const size_t n = spec_.n_switches;
   const size_t n_shards = spec_.n_shards;
-  const size_t n_threads = std::max<size_t>(spec_.n_threads, 1);
 
   std::vector<double> kill_at(n_shards, -1.0);
   for (const ShardKill& k : spec_.chaos.shard_kills) {
@@ -684,12 +610,11 @@ FleetReport ShardedController::run() {
     // warm-boot catch-up material is verifiable.
     fleet.slots[b.sw]->retain_blobs = true;
   }
+  FleetSessions sessions(n);
   for (size_t i = 0; i < n; ++i) {
     SwitchSlot* raw = fleet.slots[i].get();
-    SessionConfig sc;
-    sc.knobs = spec_.knobs;
-    sc.seed = util::hash_pair(spec_.fault_seed, i + 1);
-    sc.tcam_capacity = spec_.tcam_capacity;
+    SessionConfig sc =
+        fleet_session_config(spec_.knobs, spec_.fault_seed, i, spec_.tcam_capacity);
     for (const AgentBlackout& b : spec_.chaos.blackouts) {
       if (b.sw == i) sc.blackouts.push_back(b.window);
     }
@@ -721,9 +646,8 @@ FleetReport ShardedController::run() {
       }
       return true;
     };
-    raw->session = std::make_unique<SwitchSession>(sc, *raw->source);
+    sessions[i] = std::make_unique<SwitchSession>(sc, *raw->source);
   }
-  fleet.live_sessions.store(n, std::memory_order_relaxed);
 
   fleet.shards.reserve(n_shards);
   for (size_t k = 0; k < n_shards; ++k) {
@@ -748,40 +672,35 @@ FleetReport ShardedController::run() {
     fleet.kills.push_back(std::move(ks));
   }
 
-  if (n_threads == 1) {
-    worker_loop(fleet, spec_, 0, 1);
-  } else {
-    util::ThreadPool pool(n_threads);
-    for (size_t t = 0; t < n_threads; ++t) {
-      pool.run([&fleet, this, t, n_threads] {
-        worker_loop(fleet, spec_, t, n_threads);
+  // Every dispatch worker sweeps the sessions (pump as far as the sealed
+  // horizon allows), then steals compile work; a session settles on the
+  // worker that sees it finish.
+  FleetDriver driver(spec_.n_threads, n);
+  std::vector<SessionStats> stats(n);
+  const std::vector<Rule> nothing;
+  const size_t starved = driver.pump(
+      sessions, UINT64_MAX,
+      [&](size_t i) {
+        // done ⇒ the session observed closed(), so slot.expected is visible
+        // and the shard will never write it again. A deadline miss with the
+        // compile possibly still running finalizes against nothing (reports
+        // non-convergence) rather than racing the shard for it.
+        SwitchSession& session = *sessions[i];
+        stats[i] = session.finalize(session.done() ? fleet.slots[i]->expected
+                                                   : nothing);
+      },
+      [&](size_t worker) {
+        return compile_sweep(fleet, spec_, worker, driver.workers());
       });
-    }
-    pool.wait_idle();
-  }
-
-  for (const auto& shard : fleet.shards) {
-    if (!shard->error.empty()) {
-      throw std::runtime_error("fleet shard " + std::to_string(shard->index) +
-                               ": " + shard->error);
-    }
-  }
-  for (const auto& slot : fleet.slots) {
-    if (!slot->error.empty()) {
-      throw std::runtime_error("fleet switch " + std::to_string(slot->index) +
-                               ": " + slot->error);
-    }
-  }
 
   FleetReport report;
   report.switches = n;
   report.shards = n_shards;
-  report.threads = n_threads;
+  report.threads = driver.workers();
+  report.starved_pumps = starved;
   double active_makespan = 0.0;
-  std::vector<SessionStats> stats;
-  stats.reserve(n);
   for (const auto& slot : fleet.slots) {
-    stats.push_back(slot->stats);
+    const SessionStats& st = stats[slot->index];
     report.rule_ops += slot->rule_ops;
     if (slot->audited) {
       ++report.replay_audits;
@@ -793,24 +712,23 @@ FleetReport ShardedController::run() {
       report.failover_epochs += slot->failover_epochs;
       report.failover_ms.add(slot->failover_ms);
     }
-    report.starved_pumps += slot->starved;
-    if (slot->stats.quarantines == 0) {
+    if (st.quarantines == 0) {
       ++report.active_switches;
       report.active_rule_ops += slot->rule_ops;
-      active_makespan = std::max(active_makespan, slot->stats.makespan_ms);
+      active_makespan = std::max(active_makespan, st.makespan_ms);
     }
 
     // Per-switch digest: deterministic session counters plus the final TCAM
     // layout, combined order-independently (wrapping sum) across switches.
-    uint64_t h = util::hash_pair(slot->index + 1, slot->stats.epochs);
-    h = util::hash_pair(h, slot->stats.entry_writes);
-    h = util::hash_pair(h, slot->stats.moves);
-    h = util::hash_pair(h, slot->stats.data_frames_sent);
-    h = util::hash_pair(h, std::bit_cast<uint64_t>(slot->stats.makespan_ms));
+    uint64_t h = util::hash_pair(slot->index + 1, st.epochs);
+    h = util::hash_pair(h, st.entry_writes);
+    h = util::hash_pair(h, st.moves);
+    h = util::hash_pair(h, st.data_frames_sent);
+    h = util::hash_pair(h, std::bit_cast<uint64_t>(st.makespan_ms));
     // Layout-only digest alongside: the chaos harness compares final TCAM
     // contents against a clean run's, where counters legitimately differ.
     uint64_t lh = util::hash_pair(slot->index + 1, 0x1a707u);
-    const tcam::Tcam& device = slot->session->agent().device().tcam();
+    const tcam::Tcam& device = sessions[slot->index]->agent().device().tcam();
     for (size_t addr = 0; addr < device.capacity(); ++addr) {
       if (auto id = device.at(addr)) {
         h = util::hash_pair(h, util::hash_pair(addr, *id));

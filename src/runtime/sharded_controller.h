@@ -1,7 +1,7 @@
 // Sharded compile pipeline + switch fleet, the cbench-style scale-out path.
 //
-// The classic Controller replays a pre-compiled log; the ShardedController
-// removes the "compile first, replicate after" barrier. K compile shards
+// The ShardedController removes the "compile first, replicate after"
+// barrier of a pre-compiled log. K compile shards
 // each run the full incremental min-DAG pipeline over the switches they
 // own, one ChurnEngine per switch stepped round-robin under a per-shard
 // virtual compile clock. Every sealed epoch is published lock-free through
@@ -11,11 +11,12 @@
 // and bumps the ring's atomic epoch counter; switch sessions consume with
 // acquire loads and zero locks.
 //
-// Dispatch is work-stealing over a util::ThreadPool: every worker sweeps
-// every session (pump as far as the sealed horizon allows) and every shard
-// (compile a quantum of epochs), claiming each via an atomic try-lock.
-// A worker that finds its sessions starved steals compile steps from any
-// shard; nothing is pinned, nothing blocks.
+// Dispatch runs on the runtime's one fleet driver (FleetDriver) with the
+// compile shards as its producer: every worker sweeps every session (pump
+// as far as the sealed horizon allows) and every shard (compile a quantum
+// of epochs), claiming each via an atomic try-lock. A worker that finds its
+// sessions starved steals compile steps from any shard; nothing is pinned,
+// nothing blocks.
 //
 // Determinism: the whole report — per-switch TCAM layouts, wire bytes,
 // RTDZ delta chains, virtual makespans — is a pure function of FleetSpec,
@@ -25,7 +26,7 @@
 //   * per-shard virtual compile clocks advanced by a modelled cost per
 //     epoch, stepped in a fixed round-robin order, so sealed ready times
 //     are schedule-independent;
-//   * the session-side horizon rule (SwitchSession::pump_published), so
+//   * the session-side horizon rule (SwitchSession::pump), so
 //     wall-clock publication timing decides only where a session blocks,
 //     never the virtual order of its events.
 // run() self-checks the sharding (cross-shard delta replay) and the bench
@@ -86,7 +87,8 @@ struct SwitchTask {
 struct FleetSpec {
   size_t n_switches = 8;
   size_t n_shards = 2;   // compile shards; switch i belongs to shard i % K
-  size_t n_threads = 1;  // dispatch workers (compile + session pumping)
+  size_t n_threads = 1;  // dispatch workers (compile + session pumping),
+                         // at most one per switch
 
   // Default workload (used when make_task is unset): per-switch
   // monitor ∥ router composition churned on the monitor leaf with bursty,
@@ -134,7 +136,7 @@ struct FleetReport {
   RuntimeReport runtime;  // merged per-session stats (fault counters, hists)
   size_t switches = 0;
   size_t shards = 0;
-  size_t threads = 0;
+  size_t threads = 0;  // dispatch workers run: min(n_threads, switches)
 
   size_t rule_ops = 0;        // total rule-level updates compiled fleet-wide
   /// Slowest *active* session's virtual commit time. Quarantined switches

@@ -97,6 +97,21 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// One-owner-at-a-time claim for work-stealing sweeps: a worker that fails
+/// to claim an item skips it instead of waiting.
+class TryLock {
+ public:
+  bool try_acquire() {
+    bool expected = false;
+    return locked_.compare_exchange_strong(expected, true,
+                                           std::memory_order_acquire);
+  }
+  void release() { locked_.store(false, std::memory_order_release); }
+
+ private:
+  std::atomic<bool> locked_{false};
+};
+
 /// Shared work cursor for data-parallel loops: workers claim half-open
 /// [begin, end) chunks off an atomic counter until the range is exhausted.
 /// This is the coarse-chunk pattern the parallel DAG builder and the

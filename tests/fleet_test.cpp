@@ -1,5 +1,5 @@
 // Sharded compile pipeline + fleet runtime tests: lock-free publication,
-// the pipelined session path against the classic vector-log path, bursty
+// a ring-fed session against the same log on a vector source, bursty
 // workload determinism, and whole-fleet bit-identity across thread counts.
 #include <gtest/gtest.h>
 
@@ -84,14 +84,15 @@ TEST(PipelinedSessionTest, ClosedRingMatchesVectorLogUnderFaults) {
   sc.knobs.faults = runtime::FaultSpec::chaos();
   sc.tcam_capacity = workload.suggested_capacity();
 
-  runtime::SwitchSession classic(sc, *log);
+  const runtime::VectorEpochSource vector_source(*log);
+  runtime::SwitchSession classic(sc, vector_source);
   const runtime::SessionStats want = classic.run(workload.final_rules);
   ASSERT_TRUE(want.converged);
 
-  // Same epochs through a sealed ring, driven by pump_published. Constant
-  // ready time 0 matches VectorEpochSource (the strictly-increasing
-  // contract only carries the horizon rule, which a complete source never
-  // exercises), so the virtual trajectories must coincide exactly.
+  // Same epochs through a sealed ring, driven pump by pump. Constant ready
+  // time 0 matches VectorEpochSource (the strictly-increasing contract only
+  // carries the horizon rule, which a complete source never exercises), so
+  // the virtual trajectories must coincide exactly.
   frozen::PublishRing<runtime::SealedEpoch> ring(log->size());
   for (size_t e = 0; e < log->size(); ++e) {
     auto rec = std::make_unique<runtime::SealedEpoch>();
@@ -119,9 +120,8 @@ TEST(PipelinedSessionTest, ClosedRingMatchesVectorLogUnderFaults) {
   };
   Source source(ring);
   runtime::SwitchSession piped(sc, source);
-  piped.start();
   while (!piped.done()) {
-    ASSERT_TRUE(piped.pump_published() || piped.done());
+    ASSERT_TRUE(piped.pump() || piped.done());
   }
   const runtime::SessionStats got = piped.finalize(workload.final_rules);
 
@@ -257,6 +257,28 @@ TEST(ShardedFleetTest, BitIdenticalAcrossThreadCountsAndReplayClean) {
     EXPECT_TRUE(parallel.runtime.all_converged);
     EXPECT_TRUE(parallel.replay_ok);
   }
+}
+
+TEST(ShardedFleetTest, MoreThreadsThanSwitchesClampToTheFleet) {
+  runtime::FleetSpec spec;
+  spec.n_switches = 4;
+  spec.n_shards = 2;
+  spec.updates_per_switch = 6;
+  spec.seed = 21;
+  spec.tcam_capacity = 1024;
+
+  spec.n_threads = 1;
+  const runtime::FleetReport serial = runtime::ShardedController(spec).run();
+  // One worker per switch at most: 16 requested, 4 started.
+  spec.n_threads = 16;
+  const runtime::FleetReport clamped = runtime::ShardedController(spec).run();
+
+  EXPECT_EQ(clamped.threads, 4u);
+  EXPECT_TRUE(clamped.runtime.all_converged);
+  EXPECT_EQ(clamped.fleet_fingerprint, serial.fleet_fingerprint);
+  EXPECT_EQ(clamped.delta_fingerprint, serial.delta_fingerprint);
+  EXPECT_EQ(clamped.layout_fingerprint, serial.layout_fingerprint);
+  EXPECT_DOUBLE_EQ(clamped.makespan_ms, serial.makespan_ms);
 }
 
 TEST(ShardedFleetTest, SurvivesFaultyWiresDeterministically) {

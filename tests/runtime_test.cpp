@@ -50,6 +50,7 @@ using runtime::SessionConfig;
 using runtime::SessionStats;
 using runtime::SwitchAgent;
 using runtime::SwitchSession;
+using runtime::VectorEpochSource;
 
 TEST(EventQueue, RunsEventsInDueThenFifoOrder) {
   EventQueue q;
@@ -199,6 +200,7 @@ std::vector<EncodedEpoch> encode_log(const CompiledWorkload& wl) {
 TEST(SwitchSession, FaultFreeSessionConvergesWithoutRetries) {
   const CompiledWorkload wl = small_workload(40, 11);
   const std::vector<EncodedEpoch> log = encode_log(wl);
+  const VectorEpochSource source(log);
 
   SessionConfig cfg;
   cfg.knobs.window = 4;
@@ -206,7 +208,7 @@ TEST(SwitchSession, FaultFreeSessionConvergesWithoutRetries) {
   // retry timer never fires spuriously and the counters stay exact.
   cfg.knobs.retry.timeout_ms = 500.0;
   cfg.tcam_capacity = wl.suggested_capacity();
-  SwitchSession session(cfg, log);
+  SwitchSession session(cfg, source);
   const SessionStats stats = session.run(wl.final_rules);
 
   EXPECT_TRUE(stats.completed);
@@ -227,12 +229,13 @@ TEST(SwitchSession, FaultFreeSessionConvergesWithoutRetries) {
 TEST(SwitchSession, WiderWindowPipelinesAndShrinksMakespan) {
   const CompiledWorkload wl = small_workload(40, 12);
   const std::vector<EncodedEpoch> log = encode_log(wl);
+  const VectorEpochSource source(log);
 
   auto run_with_window = [&](size_t window) {
     SessionConfig cfg;
     cfg.knobs.window = window;
     cfg.tcam_capacity = wl.suggested_capacity();
-    SwitchSession session(cfg, log);
+    SwitchSession session(cfg, source);
     return session.run(wl.final_rules);
   };
 
@@ -247,13 +250,14 @@ TEST(SwitchSession, WiderWindowPipelinesAndShrinksMakespan) {
 TEST(SwitchSession, ChaoticWireStillConverges) {
   const CompiledWorkload wl = small_workload(40, 13);
   const std::vector<EncodedEpoch> log = encode_log(wl);
+  const VectorEpochSource source(log);
 
   SessionConfig cfg;
   cfg.knobs.window = 4;
   cfg.knobs.faults = FaultSpec::chaos();
   cfg.seed = 99;
   cfg.tcam_capacity = wl.suggested_capacity();
-  SwitchSession session(cfg, log);
+  SwitchSession session(cfg, source);
   const SessionStats stats = session.run(wl.final_rules);
 
   EXPECT_TRUE(stats.completed);
@@ -267,13 +271,52 @@ TEST(SwitchSession, ChaoticWireStillConverges) {
 
 TEST(SwitchSession, EmptyEpochLogFinishesImmediately) {
   const std::vector<EncodedEpoch> log;
+  const VectorEpochSource source(log);
   SessionConfig cfg;
-  SwitchSession session(cfg, log);
+  SwitchSession session(cfg, source);
   const SessionStats stats = session.run({});
   EXPECT_TRUE(stats.completed);
   EXPECT_TRUE(stats.converged);
   EXPECT_DOUBLE_EQ(stats.makespan_ms, 0.0);
   EXPECT_EQ(stats.data_frames_sent, 0u);
+}
+
+/// (address, rule id) of every occupied TCAM slot of a session's switch.
+std::vector<std::pair<size_t, flowspace::RuleId>> tcam_layout(
+    const SwitchSession& session) {
+  const auto& tcam = session.agent().device().tcam();
+  std::vector<std::pair<size_t, flowspace::RuleId>> layout;
+  for (size_t addr = 0; addr < tcam.capacity(); ++addr) {
+    if (auto id = tcam.at(addr)) layout.emplace_back(addr, *id);
+  }
+  return layout;
+}
+
+TEST(SwitchSession, GatedPumpStopsAtTheGateThenConvergesLikeAnUngatedRun) {
+  const CompiledWorkload wl = small_workload(40, 14);
+  const std::vector<EncodedEpoch> log = encode_log(wl);
+  const VectorEpochSource source(log);
+
+  SessionConfig cfg;
+  cfg.knobs.window = 4;
+  cfg.knobs.faults = FaultSpec::chaos();
+  cfg.seed = 31;
+  cfg.tcam_capacity = wl.suggested_capacity();
+  SwitchSession ungated(cfg, source);
+  ASSERT_TRUE(ungated.run(wl.final_rules).converged);
+
+  SwitchSession gated(cfg, source);
+  for (const uint64_t gate : {1u, 2u, 5u, 20u}) {
+    gated.pump(gate);
+    EXPECT_EQ(gated.committed(), gate);
+    EXPECT_EQ(gated.agent().last_applied(), gate);
+  }
+  gated.pump();
+  const SessionStats stats = gated.finalize(wl.final_rules);
+  EXPECT_TRUE(stats.converged);
+  EXPECT_GT(stats.retransmits + stats.resync_replays, 0u)
+      << "chaos mix exercised nothing";
+  EXPECT_EQ(tcam_layout(gated), tcam_layout(ungated));
 }
 
 TEST(Controller, FanOutConvergesAndIsDeterministicAcrossThreadCounts) {
@@ -402,6 +445,7 @@ TEST(SwitchAgent, CrashTearsApplyAndRecoveryRestoresService) {
 TEST(SwitchSession, CorruptedFramesAreNackedAndRetransmitted) {
   const CompiledWorkload wl = small_workload(40, 17);
   const std::vector<EncodedEpoch> log = encode_log(wl);
+  const VectorEpochSource source(log);
 
   SessionConfig cfg;
   cfg.knobs.window = 4;
@@ -409,7 +453,7 @@ TEST(SwitchSession, CorruptedFramesAreNackedAndRetransmitted) {
   cfg.knobs.faults.corrupt_p = 0.2;
   cfg.seed = 3;
   cfg.tcam_capacity = wl.suggested_capacity();
-  SwitchSession session(cfg, log);
+  SwitchSession session(cfg, source);
   const SessionStats stats = session.run(wl.final_rules);
 
   EXPECT_TRUE(stats.completed);
@@ -428,6 +472,7 @@ TEST(SwitchSession, CorruptedFramesAreNackedAndRetransmitted) {
 TEST(SwitchSession, DoubleRestartDuringResyncReplayStillConverges) {
   const CompiledWorkload wl = small_workload(40, 18);
   const std::vector<EncodedEpoch> log = encode_log(wl);
+  const VectorEpochSource source(log);
 
   size_t stale_total = 0;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
@@ -438,7 +483,7 @@ TEST(SwitchSession, DoubleRestartDuringResyncReplayStillConverges) {
     cfg.knobs.faults.delay_ms = 12.0;
     cfg.seed = seed;
     cfg.tcam_capacity = wl.suggested_capacity();
-    SwitchSession session(cfg, log);
+    SwitchSession session(cfg, source);
     const SessionStats stats = session.run(wl.final_rules);
     EXPECT_TRUE(stats.completed) << "seed " << seed;
     EXPECT_TRUE(stats.converged) << "seed " << seed;
@@ -457,13 +502,14 @@ TEST(SwitchSession, DoubleRestartDuringResyncReplayStillConverges) {
 TEST(SwitchSession, CapacityExhaustionRejectsCleanlyAndAuditsClean) {
   const CompiledWorkload wl = small_workload(40, 19);
   const std::vector<EncodedEpoch> log = encode_log(wl);
+  const VectorEpochSource source(log);
 
   SessionConfig cfg;
   cfg.knobs.window = 4;
   // Deliberately below the table's high-water mark, so some update in the
   // stream must be rejected for capacity.
   cfg.tcam_capacity = wl.peak_visible - wl.peak_visible / 4;
-  SwitchSession session(cfg, log);
+  SwitchSession session(cfg, source);
   util::set_log_level(util::LogLevel::kOff);  // rejections are the point
   const SessionStats stats = session.run(wl.final_rules);
   util::set_log_level(util::LogLevel::kWarn);
@@ -480,6 +526,93 @@ TEST(SwitchSession, CapacityExhaustionRejectsCleanlyAndAuditsClean) {
       tcam::audit_state(device.tcam(), device.dag_firmware().graph());
   EXPECT_TRUE(audit.clean()) << audit.to_string();
   EXPECT_TRUE(device.dag_firmware().layout_valid());
+}
+
+TEST(Controller, RoundGatedFleetStopsAtTheDeadline) {
+  const CompiledWorkload wl = small_workload(10, 23);
+  const auto log = runtime::encode_log(wl.epochs);
+  size_t rounds_observed = 0;
+  const runtime::RoundObserver observer =
+      [&](size_t, double, const runtime::FleetSessions&) { ++rounds_observed; };
+
+  // A switch whose wire drops every frame never commits epoch 1.
+  RuntimeConfig dark_cfg;
+  dark_cfg.knobs.faults.drop_p = 1.0;
+  dark_cfg.knobs.deadline_ms = 200.0;
+  const RuntimeReport dark = Controller(dark_cfg).run_fleet(
+      {runtime::SwitchWorkload{log, wl.final_rules}}, observer);
+  EXPECT_EQ(rounds_observed, 0u);
+  EXPECT_FALSE(dark.all_completed);
+  EXPECT_FALSE(dark.all_converged);
+  EXPECT_EQ(dark.sessions[0].ack_ms.count(), 0u);
+  EXPECT_GT(dark.makespan_ms, dark_cfg.knobs.deadline_ms);
+
+  // One switch of three gets a first epoch that never arrives intact (every
+  // copy fails the checksum and is NACKed): its peers commit epoch 1, and
+  // the rounds stop there.
+  auto poisoned = std::make_shared<runtime::EncodedLog>(*log);
+  auto damaged = std::make_shared<proto::Bytes>(*(*poisoned)[0].wire);
+  damaged->front() ^= 0x40;
+  (*poisoned)[0].wire = damaged;
+  RuntimeConfig cfg;
+  cfg.knobs.deadline_ms = 200.0;
+  const RuntimeReport stopped = Controller(cfg).run_fleet(
+      {runtime::SwitchWorkload{log, wl.final_rules},
+       runtime::SwitchWorkload{poisoned, wl.final_rules},
+       runtime::SwitchWorkload{log, wl.final_rules}},
+      observer);
+  EXPECT_EQ(rounds_observed, 0u);
+  EXPECT_FALSE(stopped.all_completed);
+  EXPECT_EQ(stopped.sessions[0].ack_ms.count(), 1u);
+  EXPECT_EQ(stopped.sessions[1].ack_ms.count(), 0u);
+  EXPECT_EQ(stopped.sessions[2].ack_ms.count(), 1u);
+  EXPECT_GT(stopped.sessions[1].nacks, 0u);
+}
+
+TEST(Controller, FleetDriverRethrowsSessionAndProducerErrors) {
+  // A source whose epochs cannot be read: the session throws on first send.
+  class Unreadable final : public runtime::EpochSource {
+   public:
+    uint64_t available() const override { return 1; }
+    bool complete() const override { return true; }
+    const EncodedEpoch& at(uint64_t) const override {
+      throw std::runtime_error("epoch unreadable");
+    }
+    double ready_ms(uint64_t) const override { return 0.0; }
+  };
+  const CompiledWorkload wl = small_workload(5, 24);
+  const std::vector<EncodedEpoch> log = encode_log(wl);
+  const VectorEpochSource good(log);
+  const Unreadable bad;
+  SessionConfig cfg;
+  cfg.tcam_capacity = wl.suggested_capacity();
+  auto fleet = [&](std::vector<const runtime::EpochSource*> sources) {
+    runtime::FleetSessions sessions;
+    for (const runtime::EpochSource* source : sources) {
+      sessions.push_back(std::make_unique<SwitchSession>(cfg, *source));
+    }
+    return sessions;
+  };
+  auto message = [](const auto& run) -> std::string {
+    try {
+      run();
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(message([&] {
+              runtime::FleetDriver(1, 3).pump(fleet({&good, &bad, &bad}),
+                                              UINT64_MAX);
+            }),
+            "fleet session 1: epoch unreadable");
+  EXPECT_EQ(message([&] {
+              runtime::FleetDriver(1, 2).pump(
+                  fleet({&good, &good}), UINT64_MAX, {}, [](size_t) -> bool {
+                    throw std::runtime_error("producer failed");
+                  });
+            }),
+            "producer failed");
 }
 
 TEST(Controller, SessionsDrawIndependentFaultStreams) {

@@ -14,7 +14,6 @@
 //                 gen:nat:N (requires a router table named "router") |
 //                 file:PATH (ClassBench format)
 // Compilers:      ruletris (DAG firmware) | covisor | baseline (priority fw)
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -194,20 +193,6 @@ struct Options {
   std::exit(2);
 }
 
-/// Strict numeric parse for flag values: the whole string must be a number
-/// of T (no sign for unsigned T, no trailing junk, no overflow). std::stoul
-/// reads "-1" as 2^64 - 1 and "4x" as 4; this throws instead.
-template <typename T>
-T parse_number(const std::string& what, const std::string& text) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (text.empty() || ec != std::errc() || ptr != end) {
-    throw std::invalid_argument(what + ": malformed number '" + text + "'");
-  }
-  return value;
-}
-
 Options parse_args(int argc, char** argv) {
   Options opt;
   auto need_value = [&](int& i) -> std::string {
@@ -217,7 +202,7 @@ Options parse_args(int argc, char** argv) {
   // The value of flag argv[i], parsed strictly as a T (the tag's type).
   auto need_number = [&]<typename T>(int& i, T) -> T {
     const std::string flag = argv[i];
-    return parse_number<T>(flag, need_value(i));
+    return bench::parse_number<T>(flag, need_value(i));
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -325,7 +310,7 @@ std::vector<Rule> make_table(const std::string& source,
   const size_t second = source.find(':', 4);
   if (second == std::string::npos) throw std::runtime_error("bad gen spec: " + source);
   const std::string kind = source.substr(4, second - 4);
-  const size_t n = parse_number<size_t>(source, source.substr(second + 1));
+  const size_t n = bench::parse_number<size_t>(source, source.substr(second + 1));
   if (kind == "router") return classbench::generate_router(n, rng);
   if (kind == "monitor") return classbench::generate_monitor(n, rng);
   if (kind == "firewall") return classbench::generate_firewall(n, rng);
@@ -584,7 +569,7 @@ int main(int argc, char** argv) {
       double churn_rate = opt.flow_churn.value_or(0.0);
       if (!opt.flow_churn && !opt.churn.empty()) {
         try {
-          churn_rate = parse_number<double>("--churn", opt.churn);
+          churn_rate = bench::parse_number<double>("--churn", opt.churn);
         } catch (const std::invalid_argument&) {
           // a table name; traffic mode ignores it
         }
