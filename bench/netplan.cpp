@@ -137,9 +137,7 @@ struct StrategyResult {
   util::Samples makespan_ms;  // one sample per fault seed
 };
 
-size_t simulate_and_audit(const Topology& topo, const NetworkPolicy& oldp,
-                          const NetworkPolicy& newp, const UpdatePlan& plan,
-                          const ConsistencyAuditor& auditor) {
+size_t simulate_and_audit(const UpdatePlan& plan, const ConsistencyAuditor& auditor) {
   std::vector<FlowTable> mid = netplan::tables_from(plan.initial);
   const LookupFn look = netplan::tables_lookup(mid);
   size_t mixed = auditor.audit(look).mixed;
@@ -163,8 +161,7 @@ StrategyResult run_strategy(const Topology& topo, const NetworkPolicy& oldp,
       topo, oldp, newp, netplan::tables_from(result.plan.initial),
       netplan::tables_from(result.plan.final_tables), acfg);
 
-  result.sim_violations =
-      simulate_and_audit(topo, oldp, newp, result.plan, auditor);
+  result.sim_violations = simulate_and_audit(result.plan, auditor);
 
   const std::vector<runtime::SwitchWorkload> fleet =
       netplan::materialize(topo, result.plan);

@@ -1,22 +1,20 @@
-// TCAM scheduler scaling: cached dependency caps + flat-arena chain search
-// vs the legacy O(degree)-per-probe search (PR 4 tentpole), plus the
+// TCAM scheduler scaling: the cap-cache + flat-arena chain search of
+// Algorithm 1 under an adversarial default-rule star, plus the
 // pipeline-parallel apply across independent per-table schedulers.
 //
 // The adversarial workload is the CacheFlow-style cover-set graph around a
 // default rule: one default that depends on every other rule (out-degree n),
 // K fat aggregates each depending on its shard of leaves (out-degree n/K),
 // and a saturated bottom region so that reinserting a bottom rule forces a
-// moving-chain search whose BFS probes the aggregates — each probe costs
-// O(shard) in the legacy search and O(1) with the cap cache. Cover-set
+// moving-chain search whose BFS probes the aggregates — each probe is O(1)
+// with the cap cache, where a graph scan would cost O(shard). Cover-set
 // graphs are deliberately NOT transitively reduced (CacheFlow tracks covers
 // directly), which is what makes the fat degrees real.
 //
-// Every rule is pre-generated once per configuration so the cached and
-// legacy runs see identical rule ids; the bench then self-checks that both
-// modes produced identical per-op move counts, identical final layouts, and
-// layout_valid() — and exits non-zero otherwise. --smoke runs a small sweep
-// for ctest; --legacy-search runs the legacy side alone (profiling
-// ablation).
+// The churn stream is pre-generated per configuration, so per-op move
+// counts are deterministic; the bench self-checks layout_valid() after the
+// churn and exits non-zero on an invalid layout or a failed insert. --smoke
+// runs a small sweep for ctest.
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -67,12 +65,11 @@ struct StarSpec {
   uint64_t seed = 2024;
 };
 
-/// One churn operation, fully pre-generated so both search modes replay the
-/// exact same stream (same rule ids, same random choices). kBottom is the
-/// chain trigger: it removes one live leaf (freeing a slot mid-block, far
-/// above the bottom region) and installs a fresh bottom rule whose window is
-/// the saturated bottom region — the insert must run a moving chain whose
-/// BFS probes every aggregate between the window and the freed slot.
+/// One pre-generated churn operation. kBottom is the chain trigger: it
+/// removes one live leaf (freeing a slot mid-block, far above the bottom
+/// region) and installs a fresh bottom rule whose window is the saturated
+/// bottom region — the insert must run a moving chain whose BFS probes every
+/// aggregate between the window and the freed slot.
 struct Op {
   enum Kind { kDefault, kAggregate, kBottom, kLeaf } kind = kLeaf;
   size_t index = 0;               // aggregate index, or raw pick (mod live leaves)
@@ -80,7 +77,7 @@ struct Op {
   std::vector<size_t> bottom_succs;  // aggregate indices the fresh rule depends on
 };
 
-/// Everything both runs share: the rule universe and the op stream.
+/// The rule universe and the op stream.
 struct StarWorkload {
   Rule def;
   std::vector<Rule> aggregates;
@@ -124,7 +121,8 @@ StarWorkload build_workload(const StarSpec& spec) {
     const double p = rng.next_double();
     // The default itself is never churned: like a production table-miss rule
     // it is installed once and stays. Its adversarial role is its out-degree,
-    // which the legacy search pays for on every bound scan and probe.
+    // which a graph-scanning search would pay for on every bound scan and
+    // probe.
     if (p < 0.08) {
       op.kind = Op::kAggregate;
       op.index = rng.next_below(spec.aggregates);
@@ -152,16 +150,13 @@ struct RunResult {
   size_t total_moves = 0;
   size_t max_chain = 0;
   double kind_ms[4] = {0.0, 0.0, 0.0, 0.0};  // per-op-kind breakdown
-  std::vector<uint32_t> per_op_moves;
-  std::vector<long long> layout;  // addr -> rule id (-1 free)
   bool layout_valid = false;
 };
 
-RunResult run_star(DagScheduler::SearchMode mode, const StarSpec& spec,
-                   const StarWorkload& w) {
+RunResult run_star(const StarSpec& spec, const StarWorkload& w) {
   RunResult r;
   Tcam tcam(spec.capacity);
-  DagScheduler sched(tcam, DagScheduler::Placement::kBalanced, mode);
+  DagScheduler sched(tcam);
   Stopwatch setup_watch;
 
   // Install the whole star in one batch; the scheduler's local Kahn order
@@ -235,7 +230,7 @@ RunResult run_star(DagScheduler::SearchMode mode, const StarSpec& spec,
     // Pin every aggregate below the anchor leaf. Without this, moving
     // chains gradually displace aggregates above the bottom region; then
     // later bottom-rule windows reach past it into block free slots and the
-    // churn degenerates into fast-path writes for both search modes.
+    // churn degenerates into fast-path writes.
     BackendUpdate pin;
     for (const Rule& a : w.aggregates) {
       pin.dag.added_edges.push_back({a.id, anchor_id});
@@ -332,7 +327,6 @@ RunResult run_star(DagScheduler::SearchMode mode, const StarSpec& spec,
     }
     r.kind_ms[op.kind] += op_watch.elapsed_ms();
     const size_t moves = sched.last_chain_moves();
-    r.per_op_moves.push_back(static_cast<uint32_t>(moves));
     r.total_moves += moves;
     if (moves > 0) ++r.chain_ops;
     if (moves > r.max_chain) r.max_chain = moves;
@@ -341,20 +335,8 @@ RunResult run_star(DagScheduler::SearchMode mode, const StarSpec& spec,
 
   r.fill = static_cast<double>(tcam.occupied()) /
            static_cast<double>(tcam.capacity());
-  r.layout.assign(spec.capacity, -1);
-  for (size_t a = 0; a < spec.capacity; ++a) {
-    if (const std::optional<RuleId> id = tcam.at(a)) {
-      r.layout[a] = static_cast<long long>(*id);
-    }
-  }
   r.layout_valid = sched.layout_valid();
   return r;
-}
-
-bool runs_identical(const RunResult& cached, const RunResult& legacy) {
-  return cached.per_op_moves == legacy.per_op_moves &&
-         cached.layout == legacy.layout &&
-         cached.ballast_used == legacy.ballast_used;
 }
 
 /// Pipeline-parallel apply: one star install batch per stage, applied via
@@ -438,11 +420,9 @@ int main(int argc, char** argv) {
   using ruletris::bench::json;
 
   bool smoke = false;
-  bool legacy_only = false;
   size_t threads = 4;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--legacy-search") == 0) legacy_only = true;
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       threads = ruletris::bench::flag_number<size_t>("--threads", argv[i + 1]);
     }
@@ -466,62 +446,38 @@ int main(int argc, char** argv) {
     specs.push_back({32768, 0.98, updates, 32, 8, 4, 2024});
   }
 
-  std::printf("\n=== TCAM scheduler: cached caps + flat arena vs legacy search ===\n");
-  std::printf("%-8s %-6s %-6s | %-9s %-9s %-8s | %-7s %-7s %-7s | %s\n",
-              "capacity", "fill", "ops", "cached ms", "legacy ms", "speedup",
-              "chains", "moves", "maxch", "checks");
+  std::printf("\n=== TCAM scheduler: cap cache + flat-arena chain search ===\n");
+  std::printf("%-8s %-6s %-6s | %-9s %-9s | %-7s %-7s %-7s | %s\n", "capacity",
+              "fill", "ops", "setup ms", "churn ms", "chains", "moves", "maxch",
+              "checks");
 
   bool all_ok = true;
   for (const StarSpec& spec : specs) {
-    const StarWorkload w = build_workload(spec);
-    RunResult cached, legacy;
-    if (!legacy_only) {
-      cached = run_star(DagScheduler::SearchMode::kCached, spec, w);
-      all_ok = all_ok && cached.ok && cached.layout_valid;
-    }
-    legacy = run_star(DagScheduler::SearchMode::kLegacy, spec, w);
-    all_ok = all_ok && legacy.ok && legacy.layout_valid;
-
-    bool identical = true;
-    double speedup = 0.0;
-    if (!legacy_only) {
-      identical = runs_identical(cached, legacy);
-      all_ok = all_ok && identical;
-      speedup = cached.churn_ms > 0.0 ? legacy.churn_ms / cached.churn_ms : 0.0;
-    }
-    const RunResult& shown = legacy_only ? legacy : cached;
-    std::printf("%-8zu %-6.3f %-6zu | %-9.2f %-9.2f %-8.2f | %-7zu %-7zu %-7zu | %s\n",
-                spec.capacity, shown.fill, spec.updates,
-                legacy_only ? 0.0 : cached.churn_ms, legacy.churn_ms, speedup,
-                shown.chain_ops, shown.total_moves, shown.max_chain,
-                legacy_only ? "(legacy only)"
-                            : (identical && shown.layout_valid ? "ok" : "FAIL"));
+    const RunResult r = run_star(spec, build_workload(spec));
+    all_ok = all_ok && r.ok && r.layout_valid;
+    std::printf("%-8zu %-6.3f %-6zu | %-9.2f %-9.2f | %-7zu %-7zu %-7zu | %s\n",
+                spec.capacity, r.fill, spec.updates, r.setup_ms, r.churn_ms,
+                r.chain_ops, r.total_moves, r.max_chain,
+                r.ok && r.layout_valid ? "ok" : "FAIL");
     std::fflush(stdout);
     if (auto* j = json()) {
       j->begin_row();
       j->field("workload", "star");
       j->field("capacity", static_cast<double>(spec.capacity));
       j->field("occupancy_target", spec.occupancy);
-      j->field("occupancy_actual", shown.fill);
+      j->field("occupancy_actual", r.fill);
       j->field("updates", static_cast<double>(spec.updates));
       j->field("aggregates", static_cast<double>(spec.aggregates));
-      j->field("ballast", static_cast<double>(shown.ballast_used));
-      j->field("chain_ops", static_cast<double>(shown.chain_ops));
-      j->field("total_moves", static_cast<double>(shown.total_moves));
-      j->field("max_chain", static_cast<double>(shown.max_chain));
-      j->field("cached_churn_ms", legacy_only ? 0.0 : cached.churn_ms);
-      j->field("legacy_churn_ms", legacy.churn_ms);
-      j->field("cached_bottom_ms", legacy_only ? 0.0 : cached.kind_ms[2]);
-      j->field("legacy_bottom_ms", legacy.kind_ms[2]);
-      j->field("cached_leaf_ms", legacy_only ? 0.0 : cached.kind_ms[3]);
-      j->field("legacy_leaf_ms", legacy.kind_ms[3]);
-      j->field("cached_aggregate_ms", legacy_only ? 0.0 : cached.kind_ms[1]);
-      j->field("legacy_aggregate_ms", legacy.kind_ms[1]);
-      j->field("cached_setup_ms", legacy_only ? 0.0 : cached.setup_ms);
-      j->field("legacy_setup_ms", legacy.setup_ms);
-      j->field("speedup", speedup);
-      j->field("identical", identical ? 1.0 : 0.0);
-      j->field("layout_valid", shown.layout_valid ? 1.0 : 0.0);
+      j->field("ballast", static_cast<double>(r.ballast_used));
+      j->field("chain_ops", static_cast<double>(r.chain_ops));
+      j->field("total_moves", static_cast<double>(r.total_moves));
+      j->field("max_chain", static_cast<double>(r.max_chain));
+      j->field("churn_ms", r.churn_ms);
+      j->field("bottom_ms", r.kind_ms[2]);
+      j->field("leaf_ms", r.kind_ms[3]);
+      j->field("aggregate_ms", r.kind_ms[1]);
+      j->field("setup_ms", r.setup_ms);
+      j->field("layout_valid", r.layout_valid ? 1.0 : 0.0);
     }
   }
 
@@ -562,10 +518,10 @@ int main(int argc, char** argv) {
   ruletris::bench::write_json();
   if (!all_ok) {
     std::fprintf(stderr,
-                 "FAIL: scheduler bench self-check (divergent layouts, move "
-                 "counts, or invalid layout)\n");
+                 "FAIL: scheduler bench self-check (failed insert, invalid "
+                 "layout, or divergent pipeline apply)\n");
     return 1;
   }
-  std::printf("\nOK: cached and legacy searches agree on every layout and chain\n");
+  std::printf("\nOK: every layout valid, pipeline apply identical across threads\n");
   return 0;
 }

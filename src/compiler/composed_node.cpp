@@ -595,21 +595,9 @@ void ComposedNode::stitch_sequential(const std::vector<Rule>& left_rules,
   const size_t n = left_rules.size();
   if (n < 2) return;
 
-  if (opts_.legacy_stitch) {
-    // Ablation baseline: every ordered pair, predicate and resolution
-    // interleaved. The predicate never reads the member graph, so the
-    // pruned/parallel path below reproduces this exact resolution sequence.
-    for (size_t j = 1; j < n; ++j) {
-      for (size_t i = 0; i < j; ++i) {
-        maybe_resolve_sequential_pair(left_rules, i, j, out);
-      }
-    }
-    return;
-  }
-
   // Candidate uppers per row come from an overlap index over the left
-  // matches: a pair the index skips fails the predicate's overlap test, i.e.
-  // was a no-op in the legacy loop. Positions are stored shifted by one
+  // matches: a pair the index skips fails the predicate's overlap test, so
+  // resolving it would be a no-op. Positions are stored shifted by one
   // because RuleId 0 is reserved.
   flowspace::RuleIndex left_index;
   for (size_t i = 0; i < n; ++i) {
@@ -680,13 +668,14 @@ void ComposedNode::stitch_sequential(const std::vector<Rule>& left_rules,
     });
   }
 
-  // Phase 2: resolve the surviving pairs serially, in the legacy loop's
-  // (lower ascending, upper ascending) order. Tops/bottoms of each partial
-  // depend only on its intra-partial edges (a mega always joins two distinct
-  // partials), so compute them once up front: the live rescan inside
-  // resolve_mega walks adjacency lists that grow with every resolved mega,
-  // which is the second quadratic term once a broad rule stitches against
-  // every other row.
+  // Phase 2: resolve the surviving pairs serially, in (lower ascending,
+  // upper ascending) order. The predicate never reads the member graph, so
+  // this is the sequence an all-pairs loop interleaving predicate and
+  // resolution would produce. Tops/bottoms of each partial depend only on
+  // its intra-partial edges (a mega always joins two distinct partials), so
+  // compute them once up front: the live rescan inside resolve_mega walks
+  // adjacency lists that grow with every resolved mega, which is the second
+  // quadratic term once a broad rule stitches against every other row.
   struct PartialEnds {
     std::vector<RuleId> tops, bottoms;
   };

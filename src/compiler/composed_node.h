@@ -48,18 +48,13 @@ inline constexpr size_t kCompileParallelCutoff = 512;
 
 /// Tuning knobs for ComposedNode's full compile. Defaults are right for
 /// production use; the composition bench and the equivalence tests override
-/// them (forced parallelism, legacy-stitch ablation).
+/// them (forced parallelism).
 struct CompileOptions {
   /// Workers for full_rebuild's compose fan-out and the sequential-stitch
   /// predicate sweep; <= 1 compiles serially.
   size_t n_threads = 1;
   /// Left tables smaller than this compile serially even when n_threads > 1.
   size_t parallel_cutoff = kCompileParallelCutoff;
-  /// Ablation: enumerate every ordered left pair in the sequential stitch
-  /// (the pre-index O(n^2) loop) instead of pulling candidate pairs from an
-  /// overlap index over the left rules. Same resulting state, measured by
-  /// bench/composition_scaling as the speedup baseline.
-  bool legacy_stitch = false;
   /// Clamp n_threads to the machine's core count before deciding whether —
   /// and how wide — to shard (util::effective_workers). On a single-core
   /// host the compile then stays serial no matter what n_threads says.
@@ -85,10 +80,10 @@ CompileOptions default_compile_options();
 /// Id-independent image of a composed node's compiled state, keyed by
 /// (left_src, right_src) provenance instead of entry ids (ids come from the
 /// process-global counter, so two compiles of the same policy never share
-/// them). Serial, parallel, and legacy-stitch full compiles must produce
-/// equal snapshots; the incremental path must agree on everything but the
-/// member-edge provenance (its stitching may retain extra, still-valid
-/// constraint edges — see DESIGN.md).
+/// them). Serial and parallel full compiles must produce equal snapshots;
+/// the incremental path must agree on everything but the member-edge
+/// provenance (its stitching may retain extra, still-valid constraint
+/// edges — see DESIGN.md).
 struct CompileSnapshot {
   using Prov = std::pair<RuleId, RuleId>;  // (left_src, right_src)
 
@@ -122,7 +117,7 @@ class ComposedNode final : public PolicyNode {
 
   /// Recomputes the whole composed state from the children (also used by
   /// tests and the incremental-vs-scratch ablation). Honours
-  /// compile_options(): threads, parallel cutoff, legacy-stitch ablation.
+  /// compile_options(): threads, parallel cutoff.
   void full_rebuild();
 
   /// Canonical id-independent image of the current compiled state, for
@@ -275,9 +270,10 @@ class ComposedNode final : public PolicyNode {
   /// both partials are non-empty, and the overlap is not entirely covered by
   /// the composed entries of the partials strictly in between. Read-only
   /// (safe to evaluate from worker threads with per-thread scratch). With an
-  /// `index`, the cover set comes from the entry overlap index; without one
-  /// it comes from the legacy scan over the in-between partials. Both paths
-  /// test the identical cover set in the identical deterministic order.
+  /// `index` (full compile), the cover set comes from the entry overlap
+  /// index; without one (incremental stitch) it comes from a scan over the
+  /// in-between partials. Both paths test the identical cover set in the
+  /// identical deterministic order.
   bool sequential_pair_needs_mega(const std::vector<Rule>& left_rules,
                                   size_t upper_idx, size_t lower_idx,
                                   StitchScratch& scratch,
@@ -313,8 +309,8 @@ class ComposedNode final : public PolicyNode {
   /// pairs come from an overlap index over the left rules (every skipped
   /// pair fails the overlap test, i.e. would have been a no-op); the
   /// cover-test predicate is evaluated in parallel when opts_ asks for it,
-  /// and the surviving pairs resolve serially in (lower, upper) order —
-  /// identical to the order the legacy O(n^2) loop resolves them in.
+  /// and the surviving pairs resolve serially in (lower ascending, upper
+  /// ascending) order, so serial and parallel compiles agree.
   void stitch_sequential(const std::vector<Rule>& left_rules, UpdateBuilder& out);
 
   // --- incremental handlers

@@ -94,21 +94,15 @@ struct FaultSpec {
 /// unchanged. From the second consecutive silent round on, the adaptive
 /// path escalates the interval exponentially, scales it by a per-session
 /// loss estimate, and applies seeded jitter so retransmit storms from many
-/// sessions desynchronize. All of it is a pure function of the session's
-/// seed and event sequence — deterministic across thread counts.
+/// sessions desynchronize (the escalation constants live in session.cpp).
+/// All of it is a pure function of the session's seed and event sequence —
+/// deterministic across thread counts.
 struct RetryPolicy {
-  double timeout_ms = 25.0;     // round-0 retransmit timer (legacy knob)
-  bool adaptive = true;         // escalate on consecutive silent rounds
-  double backoff = 2.0;         // interval multiplier per silent round
-  double max_timeout_ms = 250.0;  // escalation cap
-  double jitter = 0.15;         // +-fraction applied to escalated rounds
-  double loss_alpha = 0.25;     // EWMA step per silent-round / progress event
-  double loss_gain = 3.0;       // interval inflation at loss estimate 1.0
+  double timeout_ms = 25.0;  // round-0 retransmit timer
+  bool adaptive = true;      // escalate on consecutive silent rounds
   /// Consecutive silent rounds before the session quarantines the switch
   /// instead of retransmitting into a void. 0 = never quarantine.
   size_t quarantine_after = 0;
-  /// Liveness probe cadence while quarantined (header-only frames).
-  double probe_interval_ms = 150.0;
 };
 
 /// One window of agent unreachability (power loss, upgrade, line cut): the

@@ -9,6 +9,22 @@
 
 namespace ruletris::runtime {
 
+namespace {
+
+// Adaptive retransmission (RetryPolicy::adaptive) and quarantine probing.
+constexpr double kBackoff = 2.0;          // interval multiplier per silent round
+constexpr double kMaxTimeoutMs = 250.0;   // escalation cap
+constexpr double kJitter = 0.15;          // +-fraction on escalated rounds and probes
+constexpr double kLossAlpha = 0.25;       // EWMA step per silent round / progress
+constexpr double kLossGain = 3.0;         // interval inflation at loss estimate 1.0
+constexpr double kProbeIntervalMs = 150.0;  // liveness probe cadence (quarantined)
+
+double jittered(double ms, util::Rng& rng) {
+  return ms * (1.0 + kJitter * (2.0 * rng.next_double() - 1.0));
+}
+
+}  // namespace
+
 void SessionTotals::add(const SessionTotals& other) {
 #define RULETRIS_ADD_COUNTER(name) name += other.name;
   RULETRIS_SESSION_COUNTERS(RULETRIS_ADD_COUNTER)
@@ -231,7 +247,7 @@ void SwitchSession::on_nack(uint64_t epoch) {
 void SwitchSession::advance_base(uint64_t acked) {
   if (acked < base_) return;  // stale or duplicate ack
   silent_rounds_ = 0;
-  loss_ewma_ *= 1.0 - cfg_.knobs.retry.loss_alpha;  // progress: decay estimate
+  loss_ewma_ *= 1.0 - kLossAlpha;  // progress: decay estimate
   const double now = events_.now();
   for (uint64_t e = base_; e <= acked; ++e) {
     stats_.ack_ms.add(now - first_send_ms_[e]);
@@ -258,14 +274,14 @@ double SwitchSession::retry_interval_ms() {
   // fixed timer, so fault-free virtual trajectories never move. Only a
   // *consecutive* silent round escalates.
   if (!rp.adaptive || silent_rounds_ == 0) return rp.timeout_ms;
-  double t = rp.timeout_ms * (1.0 + rp.loss_gain * loss_ewma_);
-  for (size_t r = 0; r < silent_rounds_ && t < rp.max_timeout_ms; ++r) {
-    t *= rp.backoff;
+  double t = rp.timeout_ms * (1.0 + kLossGain * loss_ewma_);
+  for (size_t r = 0; r < silent_rounds_ && t < kMaxTimeoutMs; ++r) {
+    t *= kBackoff;
   }
-  t = std::min(t, rp.max_timeout_ms);
+  t = std::min(t, kMaxTimeoutMs);
   // Seeded jitter desynchronizes the retransmit storms of many sessions
   // backing off through the same brownout window.
-  return t * (1.0 + rp.jitter * (2.0 * backoff_rng_.next_double() - 1.0));
+  return jittered(t, backoff_rng_);
 }
 
 void SwitchSession::arm_timer() {
@@ -285,7 +301,7 @@ void SwitchSession::on_timer(uint64_t generation) {
     // One loss observation per silent round, not per lost frame: the
     // estimator tracks "is this wire currently swallowing whole windows".
     const RetryPolicy& rp = cfg_.knobs.retry;
-    loss_ewma_ += rp.loss_alpha * (1.0 - loss_ewma_);
+    loss_ewma_ += kLossAlpha * (1.0 - loss_ewma_);
     if (rp.quarantine_after > 0 && silent_rounds_ >= rp.quarantine_after) {
       enter_quarantine();
       return;
@@ -323,9 +339,7 @@ void SwitchSession::readmit(uint64_t anchor) {
 
 void SwitchSession::arm_probe() {
   const uint64_t generation = ++probe_generation_;
-  const RetryPolicy& rp = cfg_.knobs.retry;
-  const double gap = rp.probe_interval_ms *
-                     (1.0 + rp.jitter * (2.0 * backoff_rng_.next_double() - 1.0));
+  const double gap = jittered(kProbeIntervalMs, backoff_rng_);
   events_.post(events_.now() + gap, [this, generation] { on_probe(generation); });
 }
 

@@ -589,7 +589,7 @@ FleetReport ShardedController::run() {
     slot->id_counter = static_cast<RuleId>(i + 1) << 32;
     {
       flowspace::ScopedRuleIdNamespace ns(&slot->id_counter);
-      slot->task = spec_.make_task ? spec_.make_task(i) : default_task(spec_, i);
+      slot->task = default_task(spec_, i);
     }
     slot->audited = spec_.audit_stride != 0 && i % spec_.audit_stride == 0;
     slot->at_risk = kill_at[i % n_shards] >= 0.0;

@@ -47,7 +47,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -90,22 +89,17 @@ struct FleetSpec {
   size_t n_threads = 1;  // dispatch workers (compile + session pumping),
                          // at most one per switch
 
-  // Default workload (used when make_task is unset): per-switch
-  // monitor ∥ router composition churned on the monitor leaf with bursty,
-  // locality-heavy updates. Fully determined by (seed, switch index).
+  // Workload: per-switch monitor ∥ router composition churned on the
+  // monitor leaf with bursty, locality-heavy updates. Fully determined by
+  // (seed, switch index).
   size_t updates_per_switch = 32;  // churn epochs; each a burst when enabled
   size_t initial_monitor = 24;     // initial monitor-leaf rules
   size_t initial_router = 16;      // initial router-leaf rules
   BurstSpec burst{.enabled = true};
   uint64_t seed = 1;
 
-  /// Overrides the default workload; called once per switch at init (cheap:
-  /// table generation only, compilation happens on the shards). Runs inside
-  /// the switch's private rule-id namespace.
-  std::function<SwitchTask(size_t sw)> make_task;
-
   /// Session / wire knobs shared with RuntimeConfig (window, retry policy,
-  /// channel, faults, deadline) — the one place backoff parameters live.
+  /// channel, faults, deadline).
   /// Default: clean wire, window 8 (throughput mode).
   SessionKnobs knobs = [] { SessionKnobs k; k.window = 8; return k; }();
   uint64_t fault_seed = 1;

@@ -11,20 +11,19 @@ namespace ruletris::tcam {
 
 using flowspace::RuleId;
 
-DagScheduler::DagScheduler(Tcam& tcam, Placement placement, SearchMode mode)
+DagScheduler::DagScheduler(Tcam& tcam, Placement placement)
     : tcam_(tcam),
       occupancy_(tcam.capacity()),
       placement_(placement),
-      mode_(mode),
       caps_(tcam.capacity()) {
   for (size_t a = 0; a < tcam.capacity(); ++a) {
     if (!tcam.is_free(a)) occupancy_.set_occupied(a, true);
   }
-  if (mode_ == SearchMode::kCached) caps_.rebuild(tcam_, graph_);
+  caps_.rebuild(tcam_, graph_);
 }
 
 void DagScheduler::sync_caps() {
-  if (mode_ == SearchMode::kCached && caps_dirty_) {
+  if (caps_dirty_) {
     caps_.rebuild(tcam_, graph_);
     caps_dirty_ = false;
   }
@@ -296,151 +295,22 @@ DagScheduler::RecoveryResult DagScheduler::recover() {
   return result;
 }
 
-std::pair<long long, long long> DagScheduler::insert_bounds(RuleId id) const {
-  long long lo = -1;
-  long long hi = static_cast<long long>(tcam_.capacity());
-  for (RuleId pred : graph_.predecessors(id)) {
-    if (!tcam_.contains(pred)) continue;
-    lo = std::max(lo, static_cast<long long>(tcam_.address_of(pred)));
-  }
-  for (RuleId succ : graph_.successors(id)) {
-    if (!tcam_.contains(succ)) continue;
-    hi = std::min(hi, static_cast<long long>(tcam_.address_of(succ)));
-  }
-  return {lo, hi};
-}
-
-long long DagScheduler::lowest_successor_addr(size_t addr) const {
-  const RuleId id = *tcam_.at(addr);
-  long long out = static_cast<long long>(tcam_.capacity());
-  for (RuleId succ : graph_.successors(id)) {
-    if (!tcam_.contains(succ)) continue;
-    out = std::min(out, static_cast<long long>(tcam_.address_of(succ)));
-  }
-  return out;
-}
-
-long long DagScheduler::highest_predecessor_addr(size_t addr) const {
-  const RuleId id = *tcam_.at(addr);
-  long long out = -1;
-  for (RuleId pred : graph_.predecessors(id)) {
-    if (!tcam_.contains(pred)) continue;
-    out = std::max(out, static_cast<long long>(tcam_.address_of(pred)));
-  }
-  return out;
-}
-
-std::optional<DagScheduler::Chain> DagScheduler::find_chain_up(
-    long long lo_bound, long long hi_bound) const {
-  return caps_live() ? find_chain_up_cached(lo_bound, hi_bound)
-                     : find_chain_up_legacy(lo_bound, hi_bound);
-}
-
-std::optional<DagScheduler::Chain> DagScheduler::find_chain_down(
-    long long lo_bound, long long hi_bound) const {
-  return caps_live() ? find_chain_down_cached(lo_bound, hi_bound)
-                     : find_chain_down_legacy(lo_bound, hi_bound);
-}
-
-std::optional<DagScheduler::Chain> DagScheduler::find_chain_up_legacy(
-    long long lo_bound, long long hi_bound) const {
-  // Nearest free slot above the (full) insert range.
-  auto d_opt = occupancy_.nearest_free_at_or_above(static_cast<size_t>(lo_bound + 1));
-  if (!d_opt) return std::nullopt;
-  const long long d = static_cast<long long>(*d_opt);
-  // The chain may start by displacing any entry in the range, *including*
-  // the lowest successor itself (Algorithm 1's base cases span
-  // [r_pre.addr, r_succ.addr]).
-  const long long start_hi = std::min(hi_bound, d - 1);
-  if (start_hi <= lo_bound) return std::nullopt;
-
-  // Layered jump-BFS: the entry at address a may land on any slot in
-  // (a, lowest_successor_addr(a)). The high-water mark keeps this O(span).
-  std::unordered_map<long long, long long> parent;  // addr -> previous hop
-  std::deque<long long> queue;
-  for (long long a = lo_bound + 1; a <= start_hi; ++a) {
-    parent[a] = -1;  // chain start: displaced directly by the new rule
-    queue.push_back(a);
-  }
-  long long hwm = start_hi;
-  while (!queue.empty()) {
-    const long long a = queue.front();
-    queue.pop_front();
-    // The entry may land on any slot up to and *including* its lowest
-    // successor's (Algorithm 1 line 15 is inclusive): landing there
-    // displaces the successor, which then continues the chain upward.
-    const long long cap = std::min(lowest_successor_addr(static_cast<size_t>(a)), d);
-    if (cap >= d) {
-      // This entry can land on the free slot: chain complete.
-      Chain chain;
-      for (long long cur = a; cur != -1; cur = parent.at(cur)) {
-        chain.hops.push_back(static_cast<size_t>(cur));
-      }
-      std::reverse(chain.hops.begin(), chain.hops.end());
-      chain.free_slot = static_cast<size_t>(d);
-      return chain;
-    }
-    for (long long j = hwm + 1; j <= cap; ++j) {
-      parent[j] = a;
-      queue.push_back(j);
-    }
-    hwm = std::max(hwm, cap);
-  }
-  return std::nullopt;
-}
-
-std::optional<DagScheduler::Chain> DagScheduler::find_chain_down_legacy(
-    long long lo_bound, long long hi_bound) const {
-  if (hi_bound <= 0) return std::nullopt;
-  auto d_opt = occupancy_.nearest_free_at_or_below(static_cast<size_t>(hi_bound - 1));
-  if (!d_opt) return std::nullopt;
-  const long long d = static_cast<long long>(*d_opt);
-  const long long start_lo = std::max(lo_bound, d + 1);
-  if (start_lo >= hi_bound) return std::nullopt;
-
-  std::unordered_map<long long, long long> parent;
-  std::deque<long long> queue;
-  for (long long a = hi_bound - 1; a >= start_lo; --a) {
-    parent[a] = -2;  // chain start sentinel (−1 is a valid address bound here)
-    queue.push_back(a);
-  }
-  long long lwm = start_lo;
-  while (!queue.empty()) {
-    const long long a = queue.front();
-    queue.pop_front();
-    // Inclusive of the highest predecessor's slot (Algorithm 1 line 23):
-    // landing there displaces the predecessor further down the chain.
-    const long long cap =
-        std::max(highest_predecessor_addr(static_cast<size_t>(a)), d);
-    if (cap <= d) {
-      Chain chain;
-      for (long long cur = a; cur != -2; cur = parent.at(cur)) {
-        chain.hops.push_back(static_cast<size_t>(cur));
-      }
-      std::reverse(chain.hops.begin(), chain.hops.end());
-      chain.free_slot = static_cast<size_t>(d);
-      return chain;
-    }
-    for (long long j = lwm - 1; j >= cap; --j) {
-      parent[j] = a;
-      queue.push_back(j);
-    }
-    lwm = std::min(lwm, cap);
-  }
-  return std::nullopt;
-}
-
-// The cached searches mirror the legacy traversal order exactly — same
-// seeds, same FIFO discipline, same water-mark extension — so both modes
-// discover the same chains. They differ only in the data structures:
+// The chain searches are layered jump-BFSes. Upward: the entry at address
+// a may land on any slot up to and *including* its lowest successor's
+// (Algorithm 1 line 15 is inclusive): landing there displaces the
+// successor, which then continues the chain. Downward mirrors it with the
+// highest predecessor (line 23). The chain may start by displacing any
+// entry in the insert range, including the bounding neighbour itself
+// (Algorithm 1's base cases span [r_pre.addr, r_succ.addr]), and a
+// water mark keeps each search O(span).
 //
-//   * each probe is one CapIndex array load instead of an O(degree) scan;
+//   * each probe is one CapIndex array load, independent of the degree;
 //   * parent links live in an offset-indexed arena (address − range base)
 //     and the FIFO is a flat vector with a head cursor. Addresses get their
 //     parent written before being enqueued and only enqueued addresses are
 //     ever read back, so the arena needs no clearing between searches —
 //     resize-only reuse makes steady-state inserts allocation-free.
-std::optional<DagScheduler::Chain> DagScheduler::find_chain_up_cached(
+std::optional<DagScheduler::Chain> DagScheduler::find_chain_up(
     long long lo_bound, long long hi_bound) const {
   auto d_opt = occupancy_.nearest_free_at_or_above(static_cast<size_t>(lo_bound + 1));
   if (!d_opt) return std::nullopt;
@@ -479,7 +349,7 @@ std::optional<DagScheduler::Chain> DagScheduler::find_chain_up_cached(
   return std::nullopt;
 }
 
-std::optional<DagScheduler::Chain> DagScheduler::find_chain_down_cached(
+std::optional<DagScheduler::Chain> DagScheduler::find_chain_down(
     long long lo_bound, long long hi_bound) const {
   if (hi_bound <= 0) return std::nullopt;
   auto d_opt = occupancy_.nearest_free_at_or_below(static_cast<size_t>(hi_bound - 1));
@@ -552,8 +422,9 @@ bool DagScheduler::evict(RuleId id) {
 
 bool DagScheduler::insert_impl(const Rule& rule, int depth) {
   add_vertex_internal(rule.id);
-  const auto [lo, hi] =
-      caps_live() ? caps_.bounds_of(rule.id, graph_, tcam_) : insert_bounds(rule.id);
+  // insert_status/apply_status sync the caps first and nothing below dirties
+  // them, so they are live here.
+  const auto [lo, hi] = caps_.bounds_of(rule.id, graph_, tcam_);
   last_chain_moves_ = 0;
 
   if (lo >= hi) {

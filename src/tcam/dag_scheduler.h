@@ -11,12 +11,10 @@
 //      strictly below its own lowest successor (upward) or strictly above
 //      its highest predecessor (downward) — and executes the shorter chain.
 //
-// Two search implementations coexist (see DESIGN.md "TCAM firmware fast
-// path"). kCached (default) answers every bound/probe from an incrementally
-// maintained CapIndex in O(1) and runs the BFS in a reusable flat arena;
-// kLegacy scans the graph per probe (O(degree)) and BFSes through an
-// unordered_map — kept for the --legacy-search ablation and the equivalence
-// tests. Both produce bit-identical chains and layouts.
+// Every bound and BFS probe is answered in O(1) from an incrementally
+// maintained CapIndex, and the BFS runs in a reusable flat arena (see
+// DESIGN.md "TCAM firmware fast path"). tests/scheduler_equivalence_test
+// checks the incremental caps against a from-scratch CapIndex::rebuild.
 #pragma once
 
 #include <functional>
@@ -58,12 +56,7 @@ class DagScheduler {
   /// (naive firmware behaviour, kept for the ablation bench).
   enum class Placement { kBalanced, kFirstFree };
 
-  /// kCached: O(1) cap probes + flat-arena BFS. kLegacy: the original
-  /// O(degree)-per-probe search, for ablation/equivalence.
-  enum class SearchMode { kCached, kLegacy };
-
-  explicit DagScheduler(Tcam& tcam, Placement placement = Placement::kBalanced,
-                        SearchMode mode = SearchMode::kCached);
+  explicit DagScheduler(Tcam& tcam, Placement placement = Placement::kBalanced);
 
   /// Applies one incremental update: edge removals, rule deletions, DAG
   /// additions, then rule inserts in dependency order. With a journal
@@ -123,7 +116,7 @@ class DagScheduler {
   void restore_entry(const Rule& rule, size_t addr);
 
   /// Rebuilds the O(1) search caches after external graph() edits or a
-  /// restore_entry() sequence. No-op in kLegacy mode or when already clean.
+  /// restore_entry() sequence. No-op when already clean.
   void rebuild_caches() { sync_caps(); }
 
   /// Warm-boot fast path: adopts externally computed cap cells (one pair of
@@ -150,8 +143,6 @@ class DagScheduler {
     return graph_;
   }
 
-  SearchMode search_mode() const { return mode_; }
-
   /// Length (number of entry moves, excluding the final new-entry write) of
   /// the chain the last insert executed. For diagnostics and optimality
   /// tests.
@@ -169,36 +160,21 @@ class DagScheduler {
     size_t free_slot = 0;
   };
 
-  /// Bounds (exclusive) for where `id` may sit, from its graph neighbours.
-  std::pair<long long, long long> insert_bounds(flowspace::RuleId id) const;
-
   /// insert() body; `depth` bounds the displace-and-reinsert repair used
   /// when the insert range is inverted (predecessor above successor).
   bool insert_impl(const Rule& rule, int depth);
 
+  /// Shortest moving chain that frees a slot in (lo_bound, hi_bound) by
+  /// shifting entries upward / downward; nullopt if none exists.
   std::optional<Chain> find_chain_up(long long lo_bound, long long hi_bound) const;
   std::optional<Chain> find_chain_down(long long lo_bound, long long hi_bound) const;
-  std::optional<Chain> find_chain_up_legacy(long long lo_bound,
-                                            long long hi_bound) const;
-  std::optional<Chain> find_chain_down_legacy(long long lo_bound,
-                                              long long hi_bound) const;
-  std::optional<Chain> find_chain_up_cached(long long lo_bound,
-                                            long long hi_bound) const;
-  std::optional<Chain> find_chain_down_cached(long long lo_bound,
-                                              long long hi_bound) const;
-
-  /// Lowest successor address of the entry at `addr` (upward landing cap).
-  long long lowest_successor_addr(size_t addr) const;
-  /// Highest predecessor address of the entry at `addr` (downward cap).
-  long long highest_predecessor_addr(size_t addr) const;
 
   void execute_up(const Chain& chain, const Rule& rule);
   void execute_down(const Chain& chain, const Rule& rule);
 
   // All TCAM/graph mutations funnel through these so occupancy and the cap
-  // cache stay exact (hooks no-op in kLegacy mode or while the cache is
-  // dirty from external graph() edits) and so every op is journaled while a
-  // transaction is open.
+  // cache stay exact (hooks no-op while the cache is dirty from external
+  // graph() edits) and so every op is journaled while a transaction is open.
   void do_write(size_t addr, const Rule& rule);
   void do_move(size_t from, size_t to);
   void do_erase(size_t addr);
@@ -206,7 +182,7 @@ class DagScheduler {
   void add_edge_internal(flowspace::RuleId u, flowspace::RuleId v);
   void remove_edge_internal(flowspace::RuleId u, flowspace::RuleId v);
   void remove_vertex_internal(flowspace::RuleId v);
-  bool caps_live() const { return mode_ == SearchMode::kCached && !caps_dirty_; }
+  bool caps_live() const { return !caps_dirty_; }
   void sync_caps();
 
   bool journaling() const { return journal_ != nullptr && journal_->open(); }
@@ -235,7 +211,6 @@ class DagScheduler {
   OccupancyIndex occupancy_;
   DependencyGraph graph_;
   Placement placement_ = Placement::kBalanced;
-  SearchMode mode_ = SearchMode::kCached;
   CapIndex caps_;
   bool caps_dirty_ = false;
   size_t last_chain_moves_ = 0;

@@ -6,7 +6,6 @@
 #include <map>
 
 #include "compiler/baseline.h"
-#include "dag/builder.h"
 #include "compiler/composed_node.h"
 #include "compiler/leaf.h"
 #include "compiler/ruletris_compiler.h"
@@ -17,7 +16,6 @@ namespace {
 
 using compiler::BaselineCompiler;
 using compiler::ComposedNode;
-using compiler::compose_from_scratch;
 using compiler::LeafNode;
 using compiler::OpKind;
 using compiler::PolicySpec;
@@ -31,9 +29,8 @@ using flowspace::FlowTable;
 using flowspace::Rule;
 using flowspace::RuleId;
 using flowspace::TernaryMatch;
-using testutil::random_dag_linearization;
+using testutil::expect_composition_valid;
 using testutil::random_rule;
-using testutil::semantically_equal;
 using util::Rng;
 
 std::vector<Rule> random_table_rules(Rng& rng, int n) {
@@ -51,41 +48,6 @@ RuleId visible_id_by_match(const compiler::PolicyNode& node, const TernaryMatch&
   }
   ADD_FAILURE() << "no visible rule with match " << m.to_string();
   return 0;
-}
-
-/// Full validation bundle for a composed node against the reference
-/// composition of the current member tables.
-void expect_composition_valid(compiler::PolicyNode& node, const PolicySpec& spec,
-                              const std::map<std::string, FlowTable>& tables, Rng& rng,
-                              const char* context) {
-  const std::vector<Rule> reference = compose_from_scratch(spec, tables);
-  const std::vector<Rule> visible = node.visible_rules_in_order();
-
-  // Same number of distinct matches (both deduplicate equal matches).
-  EXPECT_EQ(visible.size(), reference.size()) << context;
-
-  // Canonical order classifies identically.
-  EXPECT_TRUE(semantically_equal(visible, reference, rng)) << context;
-
-  // The DAG is acyclic and SUFFICIENT: any layout respecting it classifies
-  // like the canonical order.
-  ASSERT_NO_THROW(node.visible_graph().topo_order_high_to_low()) << context;
-  for (int reorder = 0; reorder < 4; ++reorder) {
-    const auto layout = random_dag_linearization(visible, node.visible_graph(), rng);
-    ASSERT_EQ(layout.size(), visible.size()) << context;
-    EXPECT_TRUE(semantically_equal(layout, reference, rng, 300)) << context;
-  }
-
-  // Structural sanity: every DAG edge joins overlapping visible rules.
-  for (const auto& [u, v] : node.visible_graph().edges()) {
-    ASSERT_TRUE(node.has_visible(u)) << context;
-    ASSERT_TRUE(node.has_visible(v)) << context;
-    EXPECT_TRUE(node.visible_match(u).overlaps(node.visible_match(v))) << context;
-  }
-
-  // Exactness: the visible DAG equals the brute-force minimum DAG of the
-  // visible table in canonical order.
-  EXPECT_EQ(node.visible_graph(), dag::build_min_dag(FlowTable{visible})) << context;
 }
 
 class ComposeOpTest : public ::testing::TestWithParam<OpKind> {};

@@ -1,13 +1,15 @@
 // Compile-strategy equivalence for ComposedNode's full compile.
 //
-// full_rebuild has three interchangeable execution strategies — serial
-// index-pruned (default), the legacy O(n^2) stitch ablation, and the
-// thread-pool sharded path — plus the incremental path that reaches the same
-// state one child update at a time. All of them must agree on the
+// full_rebuild has two interchangeable execution strategies — serial and
+// the thread-pool sharded path — plus the incremental path that reaches the
+// same state one child update at a time. All of them must agree on the
 // id-independent CompileSnapshot: member entries by provenance, key-vertex
 // representatives, and the visible minimum-DAG edge set. (Member-graph edges
 // are deliberately outside the snapshot: the incremental stitcher may retain
-// extra, still-valid constraint edges.)
+// extra, still-valid constraint edges.) The shared state is then checked
+// against the from-scratch oracle (testutil::expect_composition_valid):
+// compose_from_scratch semantics, random DAG linearisations and the exact
+// minimum DAG.
 //
 // Also holds the collision smoke test for util::hash_pair, which backs the
 // PairKey/EdgeKey hashes: rule ids arrive in consecutive runs from the
@@ -16,7 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -36,6 +40,7 @@ using compiler::CompileSnapshot;
 using compiler::ComposedNode;
 using compiler::LeafNode;
 using compiler::OpKind;
+using compiler::PolicySpec;
 using flowspace::Action;
 using flowspace::ActionList;
 using flowspace::FieldId;
@@ -75,6 +80,17 @@ ComposedNode make_node(OpKind op, const std::vector<Rule>& t1,
                       std::make_unique<LeafNode>(FlowTable{t2}), opts};
 }
 
+/// Checks `node` (a op b) against the from-scratch oracle. The oracle draws
+/// its packets and linearisations from `rng`, which callers keep apart from
+/// the stream that generates the tables.
+void expect_matches_reference(ComposedNode& node, OpKind op, const FlowTable& a,
+                              const FlowTable& b, Rng& rng) {
+  const std::map<std::string, FlowTable> tables{{"a", a}, {"b", b}};
+  const PolicySpec spec = PolicySpec::combine(static_cast<int>(op), PolicySpec::leaf("a"),
+                                              PolicySpec::leaf("b"));
+  testutil::expect_composition_valid(node, spec, tables, rng, compiler::op_name(op));
+}
+
 /// RAII guard for the process-wide default compile options (the nested-tree
 /// tests build whole trees under one strategy via the defaulted ctor).
 class DefaultOptionsGuard {
@@ -93,18 +109,15 @@ class CompileStrategies : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CompileStrategies, SerialLegacyAndParallelSnapshotsAgree) {
   Rng rng(GetParam());
+  Rng oracle_rng(GetParam() ^ 0x0dac1e);
   for (const OpKind op : kAllOps) {
     for (int trial = 0; trial < 4; ++trial) {
       const auto t1 = random_table_rules(rng, 8 + rng.next_below(16));
       const auto t2 = random_table_rules(rng, 8 + rng.next_below(16));
 
-      const CompileSnapshot serial =
-          make_node(op, t1, t2, CompileOptions{}).snapshot();
-
-      CompileOptions legacy;
-      legacy.legacy_stitch = true;
-      EXPECT_EQ(make_node(op, t1, t2, legacy).snapshot(), serial)
-          << compiler::op_name(op) << " legacy stitch diverged";
+      ComposedNode node = make_node(op, t1, t2, CompileOptions{});
+      const CompileSnapshot serial = node.snapshot();
+      expect_matches_reference(node, op, FlowTable{t1}, FlowTable{t2}, oracle_rng);
 
       for (const size_t threads : {2ul, 4ul}) {
         CompileOptions par;
@@ -112,10 +125,6 @@ TEST_P(CompileStrategies, SerialLegacyAndParallelSnapshotsAgree) {
         par.parallel_cutoff = 0;  // force the sharded path on tiny tables
         EXPECT_EQ(make_node(op, t1, t2, par).snapshot(), serial)
             << compiler::op_name(op) << " parallel diverged, threads=" << threads;
-
-        par.legacy_stitch = true;
-        EXPECT_EQ(make_node(op, t1, t2, par).snapshot(), serial)
-            << compiler::op_name(op) << " parallel legacy diverged";
       }
     }
   }
@@ -124,8 +133,10 @@ TEST_P(CompileStrategies, SerialLegacyAndParallelSnapshotsAgree) {
 TEST_P(CompileStrategies, IncrementalStateMatchesFullRebuildSnapshot) {
   // Drive a node through random child inserts/removals, then recompile the
   // same node from scratch: entries, representatives, and the visible DAG
-  // must land in the identical state (under every strategy).
+  // must land in the identical state (under every strategy), and that state
+  // must match the from-scratch oracle.
   Rng rng(GetParam() ^ 0x1ac5);
+  Rng oracle_rng(GetParam() ^ 0x0dac1e);
   for (const OpKind op : kAllOps) {
     auto t1 = random_table_rules(rng, 5);
     auto t2 = random_table_rules(rng, 5);
@@ -156,6 +167,7 @@ TEST_P(CompileStrategies, IncrementalStateMatchesFullRebuildSnapshot) {
     }
 
     const CompileSnapshot incremental = node.snapshot();
+    expect_matches_reference(node, op, lp->table(), rp->table(), oracle_rng);
     node.full_rebuild();
     EXPECT_EQ(node.snapshot(), incremental)
         << compiler::op_name(op) << " serial rebuild diverged from incremental";
@@ -167,13 +179,6 @@ TEST_P(CompileStrategies, IncrementalStateMatchesFullRebuildSnapshot) {
     node.full_rebuild();
     EXPECT_EQ(node.snapshot(), incremental)
         << compiler::op_name(op) << " parallel rebuild diverged from incremental";
-
-    CompileOptions legacy;
-    legacy.legacy_stitch = true;
-    node.set_compile_options(legacy);
-    node.full_rebuild();
-    EXPECT_EQ(node.snapshot(), incremental)
-        << compiler::op_name(op) << " legacy rebuild diverged from incremental";
   }
 }
 
@@ -181,11 +186,26 @@ TEST_P(CompileStrategies, NestedTwoLevelPoliciesAgreeAcrossStrategies) {
   // (a op1 b) op2 c — the inner composed node is itself a child, so the
   // outer compile consumes a composed visible table/DAG, not a leaf's.
   Rng rng(GetParam() ^ 0x2b1d);
+  Rng oracle_rng(GetParam() ^ 0x0dac1e);
   for (const OpKind op1 : kAllOps) {
     for (const OpKind op2 : kAllOps) {
       const auto ta = random_table_rules(rng, 6 + rng.next_below(6));
       const auto tb = random_table_rules(rng, 6 + rng.next_below(6));
       const auto tc = random_table_rules(rng, 6 + rng.next_below(6));
+      // The oracle composes level by level, like the tree: the inner node's
+      // table is compose_from_scratch(a op1 b), deduplicated, and the root
+      // composes that table with c. A three-leaf compose_from_scratch keeps
+      // the inner table's shadowed duplicates; under a sequential root, a
+      // packet whose rewritten header misses every rule of c falls through
+      // to the compositions of those duplicates, so the two disagree.
+      const std::map<std::string, FlowTable> tables{
+          {"ab", FlowTable{compiler::compose_from_scratch(
+              PolicySpec::combine(static_cast<int>(op1), PolicySpec::leaf("a"),
+                                  PolicySpec::leaf("b")),
+              {{"a", FlowTable{ta}}, {"b", FlowTable{tb}}})}},
+          {"c", FlowTable{tc}}};
+      const PolicySpec spec = PolicySpec::combine(
+          static_cast<int>(op2), PolicySpec::leaf("ab"), PolicySpec::leaf("c"));
 
       auto build = [&](const CompileOptions& opts) {
         DefaultOptionsGuard guard(opts);
@@ -194,6 +214,9 @@ TEST_P(CompileStrategies, NestedTwoLevelPoliciesAgreeAcrossStrategies) {
             std::make_unique<LeafNode>(FlowTable{tb}));
         ComposedNode root{op2, std::move(inner),
                           std::make_unique<LeafNode>(FlowTable{tc})};
+        const std::string ctx = std::string(compiler::op_name(op1)) + " then " +
+                                compiler::op_name(op2);
+        testutil::expect_composition_valid(root, spec, tables, oracle_rng, ctx.c_str());
         // The inner node's entry ids come from the process-global counter and
         // differ per build, so the root's raw provenance snapshot is not
         // comparable across builds. Canonicalize each source id to its rank
@@ -237,10 +260,6 @@ TEST_P(CompileStrategies, NestedTwoLevelPoliciesAgreeAcrossStrategies) {
       par.parallel_cutoff = 0;
       EXPECT_EQ(build(par), serial) << compiler::op_name(op1) << " then "
                                     << compiler::op_name(op2) << " (parallel)";
-      CompileOptions legacy;
-      legacy.legacy_stitch = true;
-      EXPECT_EQ(build(legacy), serial) << compiler::op_name(op1) << " then "
-                                       << compiler::op_name(op2) << " (legacy)";
     }
   }
 }

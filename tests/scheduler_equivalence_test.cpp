@@ -1,12 +1,15 @@
-// Cached-caps/flat-arena search ≡ legacy search (PR 4 tentpole contract).
+// Incrementally maintained cap cache ≡ cap cache rebuilt from scratch.
 //
-// The CapIndex-backed scheduler must be a pure performance change: for any
-// operation stream, both search modes produce identical TCAM layouts and
-// identical last_chain_moves(). These tests drive paired schedulers through
-// random DAG streams, batched BackendUpdates (the incremental cap-hook
-// path), the adversarial default-rule star (the O(n)-degree hotspot), and
-// direct graph() mutation (the dirty-rebuild path). Plus a property test for
-// the Fenwick-descent kth_free behind the free-slot queries.
+// The scheduler answers every Algorithm-1 bound and BFS probe from a
+// CapIndex that hooks on every write/move/erase/edge delta keep exact. For
+// any operation stream, a scheduler running on those hooks must produce the
+// same TCAM layouts and last_chain_moves() as a reference scheduler whose
+// caps are rebuilt from the graph and TCAM (CapIndex::rebuild) before every
+// operation. These tests drive the pair through random DAG streams, batched
+// BackendUpdates (the incremental cap-hook path), the adversarial
+// default-rule star (the O(n)-degree hotspot), and direct graph() mutation
+// (the dirty-rebuild path). Plus a property test for the Fenwick-descent
+// kth_free behind the free-slot queries.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -41,54 +44,73 @@ Rule make_rule(uint32_t tag) {
   return Rule::make(m, ActionList{Action::forward(1)}, 0);
 }
 
-/// A cached-mode and a legacy-mode scheduler over twin TCAMs; every
-/// operation is mirrored to both and the results compared.
+/// A scheduler on incrementally maintained caps and a reference scheduler
+/// over a twin TCAM; every operation is mirrored to both and the results
+/// compared. The reference calls the non-const graph() before each
+/// operation, which marks its caps dirty: its hooks then do nothing, and
+/// each insert/apply starts from a from-scratch CapIndex::rebuild.
 struct SchedulerPair {
   Tcam tcam_cached;
-  Tcam tcam_legacy;
+  Tcam tcam_reference;
   DagScheduler cached;
-  DagScheduler legacy;
+  DagScheduler reference;
 
   explicit SchedulerPair(size_t capacity)
       : tcam_cached(capacity),
-        tcam_legacy(capacity),
-        cached(tcam_cached, DagScheduler::Placement::kBalanced,
-               DagScheduler::SearchMode::kCached),
-        legacy(tcam_legacy, DagScheduler::Placement::kBalanced,
-               DagScheduler::SearchMode::kLegacy) {}
+        tcam_reference(capacity),
+        cached(tcam_cached),
+        reference(tcam_reference) {}
+
+  /// The reference scheduler, with its caps marked for rebuild.
+  DagScheduler& rebuilt() {
+    reference.graph();
+    return reference;
+  }
 
   void expect_identical(const char* where) {
-    ASSERT_EQ(cached.last_chain_moves(), legacy.last_chain_moves()) << where;
+    ASSERT_EQ(cached.last_chain_moves(), reference.last_chain_moves()) << where;
     for (size_t a = 0; a < tcam_cached.capacity(); ++a) {
       const std::optional<RuleId> c = tcam_cached.at(a);
-      const std::optional<RuleId> l = tcam_legacy.at(a);
-      ASSERT_EQ(c.has_value(), l.has_value()) << where << " addr " << a;
-      if (c) ASSERT_EQ(*c, *l) << where << " addr " << a;
+      const std::optional<RuleId> r = tcam_reference.at(a);
+      ASSERT_EQ(c.has_value(), r.has_value()) << where << " addr " << a;
+      if (c) {
+        ASSERT_EQ(*c, *r) << where << " addr " << a;
+      }
     }
   }
 
   void insert_both(const Rule& r) {
     const bool a = cached.insert(r);
-    const bool b = legacy.insert(r);
+    const bool b = rebuilt().insert(r);
     ASSERT_EQ(a, b);
     expect_identical("insert");
   }
 
+  /// A single-rule batch reaches the reference in two steps (its DAG delta,
+  /// then the insert), so the reference's chain search starts from caps
+  /// rebuilt after the delta instead of the ones the delta's hooks produced.
   void apply_both(const BackendUpdate& u) {
     const bool a = cached.apply(u);
-    const bool b = legacy.apply(u);
+    bool b;
+    if (u.added.size() == 1) {
+      BackendUpdate delta = u;
+      delta.added.clear();
+      b = rebuilt().apply(delta) && rebuilt().insert(u.added.front());
+    } else {
+      b = rebuilt().apply(u);
+    }
     ASSERT_EQ(a, b);
     expect_identical("apply");
   }
 
   void remove_both(RuleId id) {
     cached.remove(id);
-    legacy.remove(id);
+    rebuilt().remove(id);
     expect_identical("remove");
   }
 
   void evict_both(RuleId id) {
-    ASSERT_EQ(cached.evict(id), legacy.evict(id));
+    ASSERT_EQ(cached.evict(id), rebuilt().evict(id));
     expect_identical("evict");
   }
 };
@@ -106,13 +128,13 @@ TEST(SchedulerEquivalence, RandomDagStreamsProduceIdenticalLayouts) {
 
     SchedulerPair pair(static_cast<size_t>(n + n / 8 + 2));
     pair.cached.graph() = min_dag;
-    pair.legacy.graph() = min_dag;
+    pair.reference.graph() = min_dag;
     for (RuleId id : min_dag.topo_order_high_to_low()) {
       pair.insert_both(table.rule(id));
       if (::testing::Test::HasFatalFailure()) return;
     }
     ASSERT_TRUE(pair.cached.layout_valid());
-    ASSERT_TRUE(pair.legacy.layout_valid());
+    ASSERT_TRUE(pair.reference.layout_valid());
 
     std::vector<RuleId> live;
     for (const Rule& r : table.rules()) live.push_back(r.id);
@@ -121,7 +143,7 @@ TEST(SchedulerEquivalence, RandomDagStreamsProduceIdenticalLayouts) {
       const RuleId victim = live[pick];
       if (rng.next_bool(0.5)) {
         // Evict + reinsert: the vertex and edges survive, bounds come from
-        // the retained caps on the cached side.
+        // the retained caps on the incremental side.
         pair.evict_both(victim);
         pair.insert_both(table.rule(victim));
       } else {
@@ -176,7 +198,7 @@ TEST(SchedulerEquivalence, BatchedApplyWithDagDeltasStaysEquivalent) {
     pair.apply_both(update);
     if (::testing::Test::HasFatalFailure()) return;
     ASSERT_TRUE(pair.cached.layout_valid());
-    ASSERT_TRUE(pair.legacy.layout_valid());
+    ASSERT_TRUE(pair.reference.layout_valid());
   }
 }
 
@@ -196,7 +218,7 @@ TEST(SchedulerEquivalence, DefaultRuleStarChurnEquivalence) {
     g.add_edge(def.id, leaf_rules.back().id);
   }
   pair.cached.graph() = g;
-  pair.legacy.graph() = g;
+  pair.reference.graph() = g;
   for (const Rule& leaf : leaf_rules) {
     pair.insert_both(leaf);
     if (::testing::Test::HasFatalFailure()) return;
@@ -209,7 +231,7 @@ TEST(SchedulerEquivalence, DefaultRuleStarChurnEquivalence) {
     const double what = rng.next_double();
     if (what < 0.15) {
       // The O(n)-degree rule itself: evict + reinsert must rescan nothing
-      // on the cached side and still land identically.
+      // on the incremental side and still land identically.
       pair.evict_both(def.id);
       pair.insert_both(def);
     } else if (what < 0.6) {
@@ -231,12 +253,12 @@ TEST(SchedulerEquivalence, DefaultRuleStarChurnEquivalence) {
     if (::testing::Test::HasFatalFailure()) return;
     ASSERT_TRUE(pair.cached.layout_valid());
   }
-  ASSERT_TRUE(pair.legacy.layout_valid());
+  ASSERT_TRUE(pair.reference.layout_valid());
 }
 
 /// Direct graph() mutation invalidates the cap cache; the next insert must
-/// rebuild it exactly — layouts stay identical to a legacy scheduler that
-/// recomputes from the graph every time.
+/// rebuild it exactly — layouts stay identical to the reference scheduler,
+/// which rebuilds before every operation.
 TEST(SchedulerEquivalence, ExternalGraphMutationTriggersExactRebuild) {
   Rng rng(53);
   SchedulerPair pair(32);
@@ -247,11 +269,11 @@ TEST(SchedulerEquivalence, ExternalGraphMutationTriggersExactRebuild) {
     // Mutate through the public graph() accessor, like the adapters and
     // stress tests do.
     pair.cached.graph().add_vertex(fresh.id);
-    pair.legacy.graph().add_vertex(fresh.id);
+    pair.reference.graph().add_vertex(fresh.id);
     for (int e = 0; e < 2 && !live.empty(); ++e) {
       const Rule& older = live[rng.next_below(live.size())];
       pair.cached.graph().add_edge(fresh.id, older.id);
-      pair.legacy.graph().add_edge(fresh.id, older.id);
+      pair.reference.graph().add_edge(fresh.id, older.id);
     }
     pair.insert_both(fresh);
     if (::testing::Test::HasFatalFailure()) return;

@@ -1,11 +1,20 @@
 // Shared helpers for the test suites: random flow-space objects, semantic
-// equivalence checks between rule lists, and DAG-respecting linearizations.
+// equivalence checks between rule lists, DAG-respecting linearizations, and
+// the from-scratch oracle for composed policies.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <map>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "compiler/baseline.h"
+#include "compiler/node.h"
+#include "compiler/policy_spec.h"
+#include "dag/builder.h"
 #include "dag/dependency_graph.h"
 #include "flowspace/action.h"
 #include "flowspace/rule.h"
@@ -138,6 +147,43 @@ inline std::vector<Rule> random_dag_linearization(const std::vector<Rule>& rules
     }
   }
   return out;  // size < rules.size() would indicate a cycle; callers assert
+}
+
+/// Full validation bundle for a composed node against the reference
+/// composition (compiler::compose_from_scratch) of the current member tables.
+inline void expect_composition_valid(compiler::PolicyNode& node,
+                                     const compiler::PolicySpec& spec,
+                                     const std::map<std::string, flowspace::FlowTable>& tables,
+                                     Rng& rng, const char* context) {
+  const std::vector<Rule> reference = compiler::compose_from_scratch(spec, tables);
+  const std::vector<Rule> visible = node.visible_rules_in_order();
+
+  // Same number of distinct matches (both deduplicate equal matches).
+  EXPECT_EQ(visible.size(), reference.size()) << context;
+
+  // Canonical order classifies identically.
+  EXPECT_TRUE(semantically_equal(visible, reference, rng)) << context;
+
+  // The DAG is acyclic and SUFFICIENT: any layout respecting it classifies
+  // like the canonical order.
+  ASSERT_NO_THROW(node.visible_graph().topo_order_high_to_low()) << context;
+  for (int reorder = 0; reorder < 4; ++reorder) {
+    const auto layout = random_dag_linearization(visible, node.visible_graph(), rng);
+    ASSERT_EQ(layout.size(), visible.size()) << context;
+    EXPECT_TRUE(semantically_equal(layout, reference, rng, 300)) << context;
+  }
+
+  // Structural sanity: every DAG edge joins overlapping visible rules.
+  for (const auto& [u, v] : node.visible_graph().edges()) {
+    ASSERT_TRUE(node.has_visible(u)) << context;
+    ASSERT_TRUE(node.has_visible(v)) << context;
+    EXPECT_TRUE(node.visible_match(u).overlaps(node.visible_match(v))) << context;
+  }
+
+  // Exactness: the visible DAG equals the brute-force minimum DAG of the
+  // visible table in canonical order.
+  EXPECT_EQ(node.visible_graph(), dag::build_min_dag(flowspace::FlowTable{visible}))
+      << context;
 }
 
 }  // namespace ruletris::testutil
