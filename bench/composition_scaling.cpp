@@ -2,12 +2,10 @@
 //
 // RuleTris pays the full composition compile on policy bootstrap and on
 // structural policy changes; this bench measures how that compile scales
-// with the policy size for all three operators, under two strategies:
-//   * indexed  — candidate pairs pulled from an overlap index over the left
-//                rules, per-node scratch arenas, serial (the default path);
-//   * parallel — indexed, with the compose fan-out and the stitch predicate
-//                sweep sharded across a thread pool.
-// Both strategies must produce the identical CompileSnapshot (member
+// with the policy size for all three operators. The compile is the
+// production one: candidate pairs pulled from an overlap index over the left
+// rules, per-node scratch arenas, one thread. A second full_rebuild() of the
+// same node must reproduce the first compile's CompileSnapshot (member
 // entries by provenance, key-vertex representatives, visible minimum-DAG
 // edges); the bench exits non-zero on divergence, and the smoke run is wired
 // into ctest so compile-path regressions fail tier-1.
@@ -18,9 +16,8 @@
 //   sequential: nat(n)      > router(128)   (Fig. 10 shape)
 //   priority:   firewall(n) $ router(128)   (supplementary shape)
 //
-// Flags: --threads N   worker count for the parallel strategy (default 4)
-//        --json PATH   machine-readable report (see bench_util.h)
-//        --smoke       tiny sizes + equivalence checks only
+// Flags: --json PATH   machine-readable report (see bench_util.h)
+//        --smoke       tiny sizes + the rebuild check only
 #include <cstring>
 #include <string>
 #include <vector>
@@ -30,12 +27,10 @@
 #include "compiler/composed_node.h"
 #include "compiler/leaf.h"
 #include "util/logging.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 int main(int argc, char** argv) {
   using namespace ruletris;
-  using compiler::CompileOptions;
   using compiler::CompileSnapshot;
   using compiler::ComposedNode;
   using compiler::LeafNode;
@@ -44,26 +39,18 @@ int main(int argc, char** argv) {
   using flowspace::Rule;
 
   bool smoke = false;
-  size_t threads = 4;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = bench::flag_number<size_t>("--threads", argv[i + 1]);
-    }
   }
   bench::init_json(argc, argv, "composition_scaling");
   if (auto* j = bench::json()) {
     j->meta("workload", "left table swept, right = classbench router(128)");
-    j->meta("threads", static_cast<double>(threads));
-    j->meta("threads_effective",
-            static_cast<double>(util::effective_workers(threads)));
-    j->meta("parallel_cutoff", static_cast<double>(compiler::kCompileParallelCutoff));
   }
 
   util::set_log_level(util::LogLevel::kOff);
   std::printf("\n=== Composition full-compile scaling (left x router-128) ===\n");
-  std::printf("%-10s %-8s | %-10s %-11s | %-8s %-8s | %-9s\n", "op", "left",
-              "indexed ms", "parallel ms", "entries", "visible", "par spd");
+  std::printf("%-10s %-8s | %-10s | %-8s %-8s\n", "op", "left", "indexed ms",
+              "entries", "visible");
 
   const std::vector<size_t> sizes =
       smoke ? std::vector<size_t>{100, 200}
@@ -88,42 +75,25 @@ int main(int argc, char** argv) {
           break;
       }
 
-      // Construct once (untimed warmup compile); then re-run full_rebuild
-      // under each strategy on the same node, so leaf DAG extraction and
-      // allocator warmup stay out of the timed sections.
-      CompileOptions serial;
+      // Construct once (untimed warmup compile), then time a second
+      // full_rebuild on the same node, so leaf DAG extraction and allocator
+      // warmup stay out of the timed section.
       ComposedNode node{op, std::make_unique<LeafNode>(FlowTable{left_rules}),
-                        std::make_unique<LeafNode>(FlowTable{right_rules}), serial};
+                        std::make_unique<LeafNode>(FlowTable{right_rules})};
+      const CompileSnapshot first = node.snapshot();
 
-      auto timed_rebuild = [&](const CompileOptions& opts) {
-        node.set_compile_options(opts);
-        util::Stopwatch watch;
-        node.full_rebuild();
-        return watch.elapsed_ms();
-      };
+      util::Stopwatch watch;
+      node.full_rebuild();
+      const double indexed_ms = watch.elapsed_ms();
 
-      const double indexed_ms = timed_rebuild(CompileOptions{});
-      const CompileSnapshot indexed_snap = node.snapshot();
-
-      CompileOptions par;
-      par.n_threads = threads;
-      // Smoke is the equivalence gate: force the pool path even on a
-      // single-core host. The timed sweep keeps the production clamp, so
-      // parallel_ms reflects what a user would actually get here.
-      par.clamp_to_hardware = !smoke;
-      const double parallel_ms = timed_rebuild(par);
-      const CompileSnapshot parallel_snap = node.snapshot();
-
-      if (!(parallel_snap == indexed_snap)) {
-        std::fprintf(stderr, "FAIL: parallel compile diverged from serial (%s, n=%zu)\n",
+      if (!(node.snapshot() == first)) {
+        std::fprintf(stderr, "FAIL: second full compile diverged (%s, n=%zu)\n",
                      compiler::op_name(op), n);
         ok = false;
       }
 
-      const double parallel_speedup = indexed_ms / parallel_ms;
-      std::printf("%-10s %-8zu | %-10.1f %-11.1f | %-8zu %-8zu | %-9.2f\n",
-                  compiler::op_name(op), n, indexed_ms, parallel_ms, node.member_size(),
-                  node.visible_size(), parallel_speedup);
+      std::printf("%-10s %-8zu | %-10.1f | %-8zu %-8zu\n", compiler::op_name(op), n,
+                  indexed_ms, node.member_size(), node.visible_size());
       std::fflush(stdout);
 
       if (auto* j = bench::json()) {
@@ -134,8 +104,6 @@ int main(int argc, char** argv) {
         j->field("member_entries", static_cast<double>(node.member_size()));
         j->field("visible_rules", static_cast<double>(node.visible_size()));
         j->field("indexed_ms", indexed_ms);
-        j->field("parallel_ms", parallel_ms);
-        j->field("parallel_speedup", parallel_speedup);
       }
     }
   }

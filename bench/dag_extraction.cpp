@@ -3,21 +3,18 @@
 // "The brute-force way to extract DAG from prioritized flow tables has high
 // time complexity. In practice, it can consume minutes in processing a flow
 // table with a few thousand rules." This bench measures that brute force
-// against the three optimization layers this repository stacks on top of it:
+// against the two optimization layers build_min_dag stacks on top of it:
 //   1. candidate pruning  — the two-level RuleIndex limits each rule's pair
 //      tests to rules it can actually overlap;
 //   2. fragment arena     — the per-row residue walk and try_cover kernel
-//      reuse scratch buffers, so the hot loop is allocation-free;
-//   3. row parallelism    — rows are independent, so build_min_dag_parallel
-//      shards them across a thread pool with per-thread arenas.
+//      reuse scratch buffers, so the hot loop is allocation-free.
 // It also reports the index-accelerated bulk load and amortized incremental
 // maintenance — the quantitative justification for preserving the DAG
 // through compilation instead of recomputing it.
 //
-// Flags: --threads N   worker count for the parallel layer (default 4)
-//        --json PATH   machine-readable report (see bench_util.h)
+// Flags: --json PATH   machine-readable report (see bench_util.h)
 //        --smoke       tiny sizes + equivalence checks; used as a ctest
-//                      smoke test so parallel-builder regressions fail tier-1
+//                      smoke test so builder regressions fail tier-1
 #include <cstring>
 #include <string>
 #include <vector>
@@ -36,26 +33,20 @@ int main(int argc, char** argv) {
   using flowspace::TernaryMatch;
 
   bool smoke = false;
-  size_t threads = 4;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = bench::flag_number<size_t>("--threads", argv[i + 1]);
-    }
   }
   bench::init_json(argc, argv, "dag_extraction");
   if (auto* j = bench::json()) {
     j->meta("workload", "classbench router (IP-chain profile)");
-    j->meta("threads", static_cast<double>(threads));
     j->meta("fragment_limit", static_cast<double>(flowspace::kDefaultFragmentLimit));
     j->meta("direct_cutoff", static_cast<double>(dag::kSmallTableDirectCutoff));
   }
 
   util::set_log_level(util::LogLevel::kOff);
   std::printf("\n=== Minimum-DAG extraction cost (router tables) ===\n");
-  std::printf("%-8s | %-12s %-12s %-13s %-16s %-22s | %-9s %-9s\n", "rules",
-              "brute ms", "indexed ms", "parallel ms", "indexed bulk ms",
-              "incremental us/update", "1t speedup", "Nt speedup");
+  std::printf("%-8s | %-12s %-12s %-16s %-22s | %-9s\n", "rules", "brute ms",
+              "indexed ms", "indexed bulk ms", "incremental us/update", "speedup");
 
   const std::vector<size_t> sizes =
       smoke ? std::vector<size_t>{200, 400}
@@ -67,7 +58,7 @@ int main(int argc, char** argv) {
     const FlowTable table{classbench::generate_router(n, rng)};
 
     // Brute force (O(n^2) pair checks, every between-set scanned): the seed
-    // extractor and the baseline for the speedup columns.
+    // extractor and the baseline for the speedup column.
     double brute_ms;
     dag::DependencyGraph brute_graph;
     {
@@ -76,32 +67,19 @@ int main(int argc, char** argv) {
       brute_ms = watch.elapsed_ms();
     }
 
-    // Layer 1+2: index pruning + arena residue walk, single-threaded. Small
-    // tables skip the index and take the direct per-pair path.
+    // Index pruning + arena residue walk. Small tables skip the index and
+    // take the direct per-pair path.
     const bool direct = dag::uses_direct_path(n, dag::MinDagBuildOptions{});
-    double serial_ms;
-    dag::DependencyGraph serial_graph;
+    double indexed_ms;
+    dag::DependencyGraph indexed_graph;
     {
       util::Stopwatch watch;
-      serial_graph = dag::build_min_dag(table);
-      serial_ms = watch.elapsed_ms();
+      indexed_graph = dag::build_min_dag(table);
+      indexed_ms = watch.elapsed_ms();
     }
 
-    // Layer 3: rows sharded across the thread pool.
-    double parallel_ms;
-    dag::DependencyGraph parallel_graph;
-    {
-      util::Stopwatch watch;
-      parallel_graph = dag::build_min_dag_parallel(table, threads);
-      parallel_ms = watch.elapsed_ms();
-    }
-
-    if (!(serial_graph == brute_graph)) {
+    if (!(indexed_graph == brute_graph)) {
       std::fprintf(stderr, "FAIL: indexed build diverged from brute force at n=%zu\n", n);
-      ok = false;
-    }
-    if (!(parallel_graph == serial_graph)) {
-      std::fprintf(stderr, "FAIL: parallel build diverged from serial at n=%zu\n", n);
       ok = false;
     }
     // Crossover guard: below the direct cutoff, build_min_dag must not lose
@@ -112,20 +90,20 @@ int main(int argc, char** argv) {
     // in parallel can swamp either side — re-measure before calling it a
     // regression.
     double guard_brute = brute_ms;
-    double guard_serial = serial_ms;
+    double guard_indexed = indexed_ms;
     for (int retry = 0;
-         direct && guard_serial > guard_brute * 2.0 + 1.0 && retry < 3; ++retry) {
+         direct && guard_indexed > guard_brute * 2.0 + 1.0 && retry < 3; ++retry) {
       util::Stopwatch bwatch;
       (void)dag::build_min_dag_brute(table);
       guard_brute = bwatch.elapsed_ms();
       util::Stopwatch swatch;
       (void)dag::build_min_dag(table);
-      guard_serial = swatch.elapsed_ms();
+      guard_indexed = swatch.elapsed_ms();
     }
-    if (direct && guard_serial > guard_brute * 2.0 + 1.0) {
+    if (direct && guard_indexed > guard_brute * 2.0 + 1.0) {
       std::fprintf(stderr,
                    "FAIL: direct path slower than brute at n=%zu (%.2fms vs %.2fms)\n",
-                   n, guard_serial, guard_brute);
+                   n, guard_indexed, guard_brute);
       ok = false;
     }
 
@@ -156,25 +134,21 @@ int main(int argc, char** argv) {
       inc_us = watch.elapsed_us() / (2.0 * rounds);
     }
 
-    const double serial_speedup = brute_ms / serial_ms;
-    const double parallel_speedup = brute_ms / parallel_ms;
-    std::printf("%-8zu | %-12.1f %-12.1f %-13.1f %-16.1f %-22.2f | %-9.1f %-9.1f\n",
-                n, brute_ms, serial_ms, parallel_ms, bulk_ms, inc_us,
-                serial_speedup, parallel_speedup);
+    const double speedup = brute_ms / indexed_ms;
+    std::printf("%-8zu | %-12.1f %-12.1f %-16.1f %-22.2f | %-9.1f\n", n, brute_ms,
+                indexed_ms, bulk_ms, inc_us, speedup);
     std::fflush(stdout);
 
     if (auto* j = bench::json()) {
       j->begin_row();
       j->field("rules", static_cast<double>(n));
       j->field("path", direct ? "direct" : "indexed");
-      j->field("edges", static_cast<double>(serial_graph.edge_count()));
+      j->field("edges", static_cast<double>(indexed_graph.edge_count()));
       j->field("brute_ms", brute_ms);
-      j->field("indexed_serial_ms", serial_ms);
-      j->field("parallel_ms", parallel_ms);
+      j->field("indexed_serial_ms", indexed_ms);
       j->field("indexed_bulk_ms", bulk_ms);
       j->field("incremental_us_per_update", inc_us);
-      j->field("serial_speedup", serial_speedup);
-      j->field("parallel_speedup", parallel_speedup);
+      j->field("serial_speedup", speedup);
     }
   }
 

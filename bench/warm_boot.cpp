@@ -19,8 +19,7 @@
 //     inner delta blob alike), and a ThawedController replaying the frames
 //     must land on exactly the live compiler's final CompileSnapshot.
 //
-// Flags: --threads N   compile worker count (default 4)
-//        --json PATH   machine-readable report (see bench_util.h)
+// Flags: --json PATH   machine-readable report (see bench_util.h)
 //        --smoke       tiny sizes + correctness checks only
 #include <algorithm>
 #include <cstring>
@@ -52,23 +51,6 @@ using tcam::DagScheduler;
 using tcam::Tcam;
 
 namespace {
-
-struct Args {
-  bool smoke = false;
-  size_t threads = 4;
-};
-
-Args parse(int argc, char** argv) {
-  Args a;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) a.smoke = true;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      a.threads = bench::flag_number<size_t>("--threads", argv[++i]);
-    }
-  }
-  if (a.threads == 0) a.threads = 1;
-  return a;
-}
 
 int fail(const char* what) {
   std::fprintf(stderr, "SELF-CHECK FAILED: %s\n", what);
@@ -115,22 +97,16 @@ bool slots_identical(const Tcam& a, const Tcam& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args = parse(argc, argv);
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  }
   util::set_log_level(util::LogLevel::kOff);
   bench::init_json(argc, argv, "warm_boot");
 
-  // Cold boot gets the production compile path: the parallel strategy the
-  // sim configures at startup (see tools/ruletris_sim).
-  {
-    compiler::CompileOptions opts;
-    opts.n_threads = args.threads;
-    compiler::set_default_compile_options(opts);
-  }
-
   if (auto* j = bench::json()) {
     j->meta("workload", "monitor(n) + router(128), Fig. 9 shape");
-    j->meta("threads", static_cast<double>(args.threads));
-    j->meta("mode", args.smoke ? "smoke" : "full");
+    j->meta("mode", smoke ? "smoke" : "full");
   }
 
   // --- boot: cold compile+install vs freeze/thaw --------------------------
@@ -140,8 +116,8 @@ int main(int argc, char** argv) {
               "warm ms", "speedup");
 
   const std::vector<size_t> sizes =
-      args.smoke ? std::vector<size_t>{500}
-                 : std::vector<size_t>{2000, 5000, 10000, 20000};
+      smoke ? std::vector<size_t>{500}
+            : std::vector<size_t>{2000, 5000, 10000, 20000};
 
   for (const size_t n : sizes) {
     util::Rng rng(0xb007 + n);
@@ -208,7 +184,7 @@ int main(int argc, char** argv) {
     // are small, so one preemption while ctest runs the suite in parallel
     // can swamp a measurement — re-measure (fresh scheduler each time, same
     // blob) and keep the best before calling it a regression.
-    const double need = args.smoke ? 1.0 : (n == sizes.back() ? 100.0 : 0.0);
+    const double need = smoke ? 1.0 : (n == sizes.back() ? 100.0 : 0.0);
     for (int retry = 0; cold_compile_ms < need * warm_ms && retry < 5; ++retry) {
       Tcam retry_tcam(capacity);
       DagScheduler retry_sched(retry_tcam);
@@ -251,9 +227,9 @@ int main(int argc, char** argv) {
 
   // --- delta: epoch patches over the codec --------------------------------
   {
-    const size_t n = args.smoke ? 500 : 5000;
-    const size_t epochs = args.smoke ? 4 : 8;
-    const size_t ops = args.smoke ? 8 : 32;
+    const size_t n = smoke ? 500 : 5000;
+    const size_t epochs = smoke ? 4 : 8;
+    const size_t ops = smoke ? 8 : 32;
     std::printf("\n[delta] %zu-rule left member, %zu epochs x %zu rule swaps\n",
                 n, epochs, ops);
 

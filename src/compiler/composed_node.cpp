@@ -1,11 +1,9 @@
 #include "compiler/composed_node.h"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
 
 #include "compiler/compose_ops.h"
-#include "util/thread_pool.h"
 
 namespace ruletris::compiler {
 
@@ -21,30 +19,9 @@ const char* op_name(OpKind op) {
   return "?";
 }
 
-namespace {
-std::mutex g_default_opts_mutex;
-CompileOptions g_default_compile_options;
-}  // namespace
-
-void set_default_compile_options(const CompileOptions& opts) {
-  std::scoped_lock lock(g_default_opts_mutex);
-  g_default_compile_options = opts;
-}
-
-CompileOptions default_compile_options() {
-  std::scoped_lock lock(g_default_opts_mutex);
-  return g_default_compile_options;
-}
-
 ComposedNode::ComposedNode(OpKind op, std::unique_ptr<PolicyNode> left,
                            std::unique_ptr<PolicyNode> right)
-    : ComposedNode(op, std::move(left), std::move(right), default_compile_options()) {}
-
-ComposedNode::ComposedNode(OpKind op, std::unique_ptr<PolicyNode> left,
-                           std::unique_ptr<PolicyNode> right,
-                           const CompileOptions& opts)
     : op_(op),
-      opts_(opts),
       left_(std::move(left)),
       right_(std::move(right)),
       visible_dag_([this](RuleId existing, RuleId incoming) {
@@ -360,8 +337,7 @@ void ComposedNode::full_rebuild() {
       resolve_mega(mega_lower_, mega_upper_, sink);
     }
   } else {
-    // Parallel / sequential: cross product guided by the overlap index,
-    // sharded across workers when opts_ asks for it.
+    // Parallel / sequential: cross product guided by the overlap index.
     build_cross_product(left_rules, sink);
 
     // Edges inherited from the right member DAG (within one left rule).
@@ -412,7 +388,6 @@ void ComposedNode::full_rebuild() {
 
 bool ComposedNode::sequential_pair_needs_mega(const std::vector<Rule>& left_rules,
                                               size_t upper_idx, size_t lower_idx,
-                                              StitchScratch& scratch,
                                               const StitchIndex* index) const {
   const Rule& upper = left_rules[upper_idx];  // matched first
   const Rule& lower = left_rules[lower_idx];
@@ -435,7 +410,7 @@ bool ComposedNode::sequential_pair_needs_mega(const std::vector<Rule>& left_rule
   // Both collections are sorted by (specified bits, entry id), so the cover
   // sequence fed to try_cover — and therefore the verdict, including on
   // fragment overflow — is identical either way.
-  auto& keyed = scratch.cover_keyed;
+  auto& keyed = stitch_scratch_.cover_keyed;
   keyed.clear();
   if (index != nullptr) {
     index->entries.for_each_overlapping(
@@ -464,13 +439,14 @@ bool ComposedNode::sequential_pair_needs_mega(const std::vector<Rule>& left_rule
               if (sa != sb) return sa < sb;
               return a.first < b.first;
             });
-  auto& cover = scratch.cover;
+  auto& cover = stitch_scratch_.cover;
   cover.clear();
   cover.reserve(keyed.size());
   for (const auto& [eid, m] : keyed) cover.push_back(*m);
   const CoverResult r =
       flowspace::try_cover(*overlap, {cover.data(), cover.size()},
-                           scratch.cover_scratch, flowspace::kDefaultFragmentLimit);
+                           stitch_scratch_.cover_scratch,
+                           flowspace::kDefaultFragmentLimit);
   return r != CoverResult::kCovered;  // overflow: stitch conservatively
 }
 
@@ -489,9 +465,7 @@ void ComposedNode::resolve_sequential_pair(RuleId upper_left, RuleId lower_left,
 void ComposedNode::maybe_resolve_sequential_pair(const std::vector<Rule>& left_rules,
                                                  size_t upper_idx, size_t lower_idx,
                                                  UpdateBuilder& out) {
-  if (!sequential_pair_needs_mega(left_rules, upper_idx, lower_idx, stitch_scratch_)) {
-    return;
-  }
+  if (!sequential_pair_needs_mega(left_rules, upper_idx, lower_idx)) return;
   resolve_sequential_pair(left_rules[upper_idx].id, left_rules[lower_idx].id, out);
 }
 
@@ -531,61 +505,13 @@ void ComposedNode::resolve_sequential_megas_around(RuleId left_src, UpdateBuilde
 
 void ComposedNode::build_cross_product(const std::vector<Rule>& left_rules,
                                        UpdateBuilder& out) {
-  const size_t n = left_rules.size();
-  const size_t workers = opts_.clamp_to_hardware
-                             ? util::effective_workers(opts_.n_threads)
-                             : opts_.n_threads;
-  const bool parallel = workers > 1 && n >= opts_.parallel_cutoff;
-  if (!parallel) {
-    for (const Rule& l : left_rules) {
-      const TernaryMatch probe = right_probe(l.match, l.actions);
-      for (RuleId rid : right_->visible_overlapping(probe)) {
-        const Rule r{rid, right_->visible_match(rid), right_->visible_actions(rid), 0};
-        auto composed = compose_pair(l, r);
-        if (!composed) continue;
-        add_entry(std::move(composed->first), std::move(composed->second), l.id, rid,
-                  out);
-      }
-    }
-    return;
-  }
-
-  // The fan-out (probe, index query, pair composition) only reads the
-  // children, so workers claim left-rule chunks off an atomic cursor and
-  // buffer their compositions per left row. Entry materialization — id
-  // assignment, maps, key vertices — runs on this thread in left order, so
-  // the resulting state is identical to the serial build's.
-  struct Composed {
-    TernaryMatch match;
-    ActionList actions;
-    RuleId right_src;
-  };
-  std::vector<std::vector<Composed>> per_left(n);
-  util::ChunkCursor cursor(0, n, util::ChunkCursor::suggest_chunk(n, workers));
-  util::ThreadPool pool(workers);
-  util::run_on_workers(pool, [&] {
-    return [&] {
-      size_t begin, end;
-      while (cursor.next(begin, end)) {
-        for (size_t i = begin; i < end; ++i) {
-          const Rule& l = left_rules[i];
-          const TernaryMatch probe = right_probe(l.match, l.actions);
-          for (RuleId rid : right_->visible_overlapping(probe)) {
-            const Rule r{rid, right_->visible_match(rid), right_->visible_actions(rid),
-                         0};
-            auto composed = compose_pair(l, r);
-            if (!composed) continue;
-            per_left[i].push_back(
-                {std::move(composed->first), std::move(composed->second), rid});
-          }
-        }
-      }
-    };
-  });
-  for (size_t i = 0; i < n; ++i) {
-    for (Composed& c : per_left[i]) {
-      add_entry(std::move(c.match), std::move(c.actions), left_rules[i].id,
-                c.right_src, out);
+  for (const Rule& l : left_rules) {
+    const TernaryMatch probe = right_probe(l.match, l.actions);
+    for (RuleId rid : right_->visible_overlapping(probe)) {
+      const Rule r{rid, right_->visible_match(rid), right_->visible_actions(rid), 0};
+      auto composed = compose_pair(l, r);
+      if (!composed) continue;
+      add_entry(std::move(composed->first), std::move(composed->second), l.id, rid, out);
     }
   }
 }
@@ -606,7 +532,7 @@ void ComposedNode::stitch_sequential(const std::vector<Rule>& left_rules,
 
   // Overlap index over the member entries themselves, so each pair's cover
   // set is a bucket query instead of a walk over every in-between partial.
-  // Built once per rebuild; read-only during the predicate sweep.
+  // Built once per rebuild.
   StitchIndex stitch_index;
   stitch_index.entry_left_pos.reserve(member_size());
   for (size_t i = 0; i < n; ++i) {
@@ -617,7 +543,11 @@ void ComposedNode::stitch_sequential(const std::vector<Rule>& left_rules,
       stitch_index.entry_left_pos.emplace(eid, i);
     }
   }
-  auto collect_uppers = [&](size_t j, std::vector<size_t>& cand) {
+
+  // Phase 1: evaluate the predicate for every candidate pair.
+  std::vector<std::vector<size_t>> uppers(n);
+  std::vector<size_t> cand;
+  for (size_t j = 1; j < n; ++j) {
     cand.clear();
     left_index.for_each_overlapping(left_rules[j].match,
                                     [&](RuleId id, const TernaryMatch&) {
@@ -625,52 +555,16 @@ void ComposedNode::stitch_sequential(const std::vector<Rule>& left_rules,
                                       if (p < j) cand.push_back(p);
                                     });
     std::sort(cand.begin(), cand.end());
-  };
-
-  // Phase 1: evaluate the (read-only) predicate for every candidate pair,
-  // sharded across workers when opts_ asks for it.
-  std::vector<std::vector<size_t>> uppers(n);
-  const size_t workers = opts_.clamp_to_hardware
-                             ? util::effective_workers(opts_.n_threads)
-                             : opts_.n_threads;
-  const bool parallel = workers > 1 && n >= opts_.parallel_cutoff;
-  if (!parallel) {
-    std::vector<size_t> cand;
-    for (size_t j = 1; j < n; ++j) {
-      collect_uppers(j, cand);
-      for (size_t i : cand) {
-        if (sequential_pair_needs_mega(left_rules, i, j, stitch_scratch_,
-                                       &stitch_index)) {
-          uppers[j].push_back(i);
-        }
+    for (size_t i : cand) {
+      if (sequential_pair_needs_mega(left_rules, i, j, &stitch_index)) {
+        uppers[j].push_back(i);
       }
     }
-  } else {
-    util::ChunkCursor cursor(1, n, util::ChunkCursor::suggest_chunk(n, workers));
-    util::ThreadPool pool(workers);
-    util::run_on_workers(pool, [&] {
-      return [&] {
-        StitchScratch scratch;
-        std::vector<size_t> cand;
-        size_t begin, end;
-        while (cursor.next(begin, end)) {
-          for (size_t j = begin; j < end; ++j) {
-            collect_uppers(j, cand);
-            for (size_t i : cand) {
-              if (sequential_pair_needs_mega(left_rules, i, j, scratch,
-                                             &stitch_index)) {
-                uppers[j].push_back(i);
-              }
-            }
-          }
-        }
-      };
-    });
   }
 
-  // Phase 2: resolve the surviving pairs serially, in (lower ascending,
-  // upper ascending) order. The predicate never reads the member graph, so
-  // this is the sequence an all-pairs loop interleaving predicate and
+  // Phase 2: resolve the surviving pairs in (lower ascending, upper
+  // ascending) order. The predicate never reads the member graph, so this
+  // is the sequence an all-pairs loop interleaving predicate and
   // resolution would produce. Tops/bottoms of each partial depend only on
   // its intra-partial edges (a mega always joins two distinct partials), so
   // compute them once up front: the live rescan inside resolve_mega walks

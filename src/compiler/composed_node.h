@@ -41,46 +41,10 @@ enum class OpKind { kParallel, kSequential, kPriority };
 
 const char* op_name(OpKind op);
 
-/// Left tables smaller than this compile serially even when threads were
-/// requested: below it the compose fan-out finishes faster than the pool's
-/// chunk choreography.
-inline constexpr size_t kCompileParallelCutoff = 512;
-
-/// Tuning knobs for ComposedNode's full compile. Defaults are right for
-/// production use; the composition bench and the equivalence tests override
-/// them (forced parallelism).
-struct CompileOptions {
-  /// Workers for full_rebuild's compose fan-out and the sequential-stitch
-  /// predicate sweep; <= 1 compiles serially.
-  size_t n_threads = 1;
-  /// Left tables smaller than this compile serially even when n_threads > 1.
-  size_t parallel_cutoff = kCompileParallelCutoff;
-  /// Clamp n_threads to the machine's core count before deciding whether —
-  /// and how wide — to shard (util::effective_workers). On a single-core
-  /// host the compile then stays serial no matter what n_threads says.
-  /// Equivalence tests disable this to force the pool path and its
-  /// interleavings even where there is nothing to gain from them.
-  bool clamp_to_hardware = true;
-};
-
-/// Process-wide default compile options, used by the two-argument
-/// ComposedNode constructor (and thus by RuleTrisCompiler). Set from
-/// tools/bench flags (--compile-threads).
-///
-/// Contract: the global is guarded by an internal mutex. The setter
-/// publishes atomically and the getter returns a snapshot *copy*, so a
-/// thread constructing a compiler concurrently with a writer observes
-/// either the old or the new options in full, never a torn mix. Intended
-/// usage is still configure-at-startup — set once from flags before
-/// spawning compile work; nodes latch their options at construction, so a
-/// later set never retunes an existing compiler.
-void set_default_compile_options(const CompileOptions& opts);
-CompileOptions default_compile_options();
-
 /// Id-independent image of a composed node's compiled state, keyed by
 /// (left_src, right_src) provenance instead of entry ids (ids come from the
 /// process-global counter, so two compiles of the same policy never share
-/// them). Serial and parallel full compiles must produce equal snapshots;
+/// them). Two full compiles of the same children produce equal snapshots;
 /// the incremental path must agree on everything but the member-edge
 /// provenance (its stitching may retain extra, still-valid constraint
 /// edges — see DESIGN.md).
@@ -99,25 +63,16 @@ struct CompileSnapshot {
 
 class ComposedNode final : public PolicyNode {
  public:
-  /// Takes ownership of both children and performs the initial full compile
-  /// with the process-wide default CompileOptions.
+  /// Takes ownership of both children and performs the initial full compile.
   ComposedNode(OpKind op, std::unique_ptr<PolicyNode> left,
                std::unique_ptr<PolicyNode> right);
-
-  /// Same, with explicit compile options (bench ablations, forced threads).
-  ComposedNode(OpKind op, std::unique_ptr<PolicyNode> left,
-               std::unique_ptr<PolicyNode> right, const CompileOptions& opts);
 
   OpKind op() const { return op_; }
   PolicyNode& left() { return *left_; }
   PolicyNode& right() { return *right_; }
 
-  const CompileOptions& compile_options() const { return opts_; }
-  void set_compile_options(const CompileOptions& opts) { opts_ = opts; }
-
   /// Recomputes the whole composed state from the children (also used by
-  /// tests and the incremental-vs-scratch ablation). Honours
-  /// compile_options(): threads, parallel cutoff.
+  /// tests and the incremental-vs-scratch ablation).
   void full_rebuild();
 
   /// Canonical id-independent image of the current compiled state, for
@@ -248,7 +203,7 @@ class ComposedNode final : public PolicyNode {
                            const std::vector<RuleId>& tops,
                            const std::vector<RuleId>& bottoms, UpdateBuilder& out);
 
-  /// Per-thread context for the read-only sequential-stitch predicate.
+  /// Reusable buffers for the read-only sequential-stitch predicate.
   struct StitchScratch {
     std::vector<TernaryMatch> cover;
     std::vector<std::pair<RuleId, const TernaryMatch*>> cover_keyed;
@@ -268,15 +223,14 @@ class ComposedNode final : public PolicyNode {
   /// True iff the partial tables of left_rules[upper_idx] and
   /// left_rules[lower_idx] need a mega dependency: the left matches overlap,
   /// both partials are non-empty, and the overlap is not entirely covered by
-  /// the composed entries of the partials strictly in between. Read-only
-  /// (safe to evaluate from worker threads with per-thread scratch). With an
-  /// `index` (full compile), the cover set comes from the entry overlap
-  /// index; without one (incremental stitch) it comes from a scan over the
-  /// in-between partials. Both paths test the identical cover set in the
-  /// identical deterministic order.
+  /// the composed entries of the partials strictly in between. Never reads
+  /// the member graph; writes only stitch_scratch_. With an `index` (full
+  /// compile), the cover set comes from the entry overlap index; without
+  /// one (incremental stitch) it comes from a scan over the in-between
+  /// partials. Both paths test the identical cover set in the identical
+  /// deterministic order.
   bool sequential_pair_needs_mega(const std::vector<Rule>& left_rules,
                                   size_t upper_idx, size_t lower_idx,
-                                  StitchScratch& scratch,
                                   const StitchIndex* index = nullptr) const;
 
   /// Resolves the mega dependency between the partial tables of two left
@@ -298,19 +252,14 @@ class ComposedNode final : public PolicyNode {
   void resolve_sequential_megas_around(RuleId left_src, UpdateBuilder& out);
 
   /// Full-compile phase 1: composes every (left rule x overlapping right
-  /// rule) pair and materializes the entries in left order. The compose
-  /// fan-out (probe, index query, pair composition) is sharded across a
-  /// thread pool when opts_ asks for it; entry materialization — id
-  /// assignment, maps, key vertices — always runs on the calling thread in
-  /// deterministic left order, so serial and parallel compiles agree.
+  /// rule) pair and materializes the entries in left order.
   void build_cross_product(const std::vector<Rule>& left_rules, UpdateBuilder& out);
 
   /// Full-compile sequential stitch over all ordered left pairs. Candidate
   /// pairs come from an overlap index over the left rules (every skipped
   /// pair fails the overlap test, i.e. would have been a no-op); the
-  /// cover-test predicate is evaluated in parallel when opts_ asks for it,
-  /// and the surviving pairs resolve serially in (lower ascending, upper
-  /// ascending) order, so serial and parallel compiles agree.
+  /// cover-test predicate is evaluated for every candidate first, then the
+  /// surviving pairs resolve in (lower ascending, upper ascending) order.
   void stitch_sequential(const std::vector<Rule>& left_rules, UpdateBuilder& out);
 
   // --- incremental handlers
@@ -328,7 +277,6 @@ class ComposedNode final : public PolicyNode {
   void remove_entry_with_patch(RuleId eid, UpdateBuilder& out);
 
   OpKind op_;
-  CompileOptions opts_;
   std::unique_ptr<PolicyNode> left_;
   std::unique_ptr<PolicyNode> right_;
 

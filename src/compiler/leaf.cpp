@@ -9,8 +9,7 @@ namespace ruletris::compiler {
 using flowspace::FlowTable;
 
 LeafNode::LeafNode(FlowTable table) : table_(std::move(table)) {
-  // Bulk extraction honours the process-wide thread knob (serial when 0/1).
-  graph_ = dag::build_min_dag_parallel(table_, dag::default_build_threads());
+  graph_ = dag::build_min_dag(table_);
   for (const Rule& r : table_.rules()) index_.insert(r.id, r.match);
 }
 

@@ -1,11 +1,9 @@
 #include "dag/builder.h"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_map>
 
 #include "flowspace/rule_index.h"
-#include "util/thread_pool.h"
 
 namespace ruletris::dag {
 
@@ -15,15 +13,6 @@ using flowspace::Rule;
 using flowspace::RuleId;
 using flowspace::RuleIndex;
 using flowspace::TernaryMatch;
-
-namespace {
-
-size_t g_default_build_threads = 0;
-
-}  // namespace
-
-void set_default_build_threads(size_t n) { g_default_build_threads = n; }
-size_t default_build_threads() { return g_default_build_threads; }
 
 void row_direct_dependencies(const TernaryMatch& m,
                              const std::vector<const TernaryMatch*>& cands,
@@ -88,8 +77,7 @@ void row_direct_dependencies(const TernaryMatch& m,
         // Most-general covers first: they erase whole fragment families at
         // once, keeping the subtraction shallow. Ties break on candidate
         // position so the cover order — and with it any overflow verdict —
-        // is identical regardless of index iteration order (serial and
-        // parallel builds must stay bit-identical).
+        // is identical regardless of index iteration order.
         std::sort(keyed.begin(), keyed.end(),
                   [](const auto& a, const auto& b) {
                     const uint32_t ba = a.second->specified_bits();
@@ -112,34 +100,6 @@ void row_direct_dependencies(const TernaryMatch& m,
 }
 
 namespace {
-
-/// Per-thread working set for the indexed build.
-struct RowContext {
-  std::vector<size_t> cand_pos;
-  std::vector<const TernaryMatch*> cand_matches;
-  std::vector<size_t> edges;
-  MinDagRowScratch scratch;
-};
-
-/// Direct-dependency target positions of row `i`, appended to `targets` in a
-/// deterministic order (identical for serial and parallel builds).
-void compute_row(const FlowTable& table, const RuleIndex& index, size_t i,
-                 const MinDagBuildOptions& opts, RowContext& ctx,
-                 std::vector<size_t>& targets) {
-  const auto& rules = table.rules();
-  ctx.cand_pos.clear();
-  index.for_each_overlapping(rules[i].match,
-                             [&](RuleId id, const TernaryMatch&) {
-                               const size_t p = table.position(id);
-                               if (p < i) ctx.cand_pos.push_back(p);
-                             });
-  std::sort(ctx.cand_pos.begin(), ctx.cand_pos.end());
-  ctx.cand_matches.clear();
-  for (size_t p : ctx.cand_pos) ctx.cand_matches.push_back(&rules[p].match);
-  row_direct_dependencies(rules[i].match, ctx.cand_matches, opts, ctx.scratch,
-                          ctx.edges);
-  for (size_t e : ctx.edges) targets.push_back(ctx.cand_pos[e]);
-}
 
 /// Direct small-table path: the brute-force pair/between structure, but with
 /// the arena-backed try_cover kernel and the repository's uniform
@@ -170,7 +130,9 @@ DependencyGraph build_direct(const FlowTable& table, const MinDagBuildOptions& o
   return graph;
 }
 
-DependencyGraph build_indexed(const FlowTable& table, const MinDagBuildOptions& opts) {
+}  // namespace
+
+DependencyGraph build_min_dag(const FlowTable& table, const MinDagBuildOptions& opts) {
   const auto& rules = table.rules();  // descending priority == match order
   const size_t n = rules.size();
   if (uses_direct_path(n, opts)) return build_direct(table, opts);
@@ -182,63 +144,30 @@ DependencyGraph build_indexed(const FlowTable& table, const MinDagBuildOptions& 
   RuleIndex index;
   for (const Rule& r : rules) index.insert(r.id, r.match);
 
-  const bool parallel = opts.n_threads > 1 && n >= opts.parallel_cutoff;
-  std::vector<std::vector<size_t>> row_targets(n);
-  if (!parallel) {
-    RowContext ctx;
-    for (size_t i = 1; i < n; ++i) {
-      compute_row(table, index, i, opts, ctx, row_targets[i]);
-    }
-  } else {
-    // Rows are independent given the (read-only) table and index: workers
-    // claim chunks off an atomic cursor with per-thread arenas, and results
-    // land in per-row slots so the merged edge set is order-independent.
-    util::ChunkCursor cursor(1, n, util::ChunkCursor::suggest_chunk(n, opts.n_threads));
-    util::ThreadPool pool(opts.n_threads);
-    util::run_on_workers(pool, [&] {
-      return [&] {
-        RowContext ctx;
-        size_t begin, end;
-        while (cursor.next(begin, end)) {
-          for (size_t i = begin; i < end; ++i) {
-            compute_row(table, index, i, opts, ctx, row_targets[i]);
-          }
-        }
-      };
-    });
-  }
-
+  // Each row's candidates are the earlier rules the index says overlap it,
+  // in ascending position; the kernel reports direct dependencies in
+  // descending candidate order, and edges are added in that order.
+  std::vector<size_t> cand_pos;
+  std::vector<const TernaryMatch*> cand_matches;
+  std::vector<size_t> deps;
+  MinDagRowScratch scratch;
   for (size_t i = 1; i < n; ++i) {
-    for (size_t t : row_targets[i]) graph.add_edge(rules[i].id, rules[t].id);
+    cand_pos.clear();
+    index.for_each_overlapping(rules[i].match, [&](RuleId id, const TernaryMatch&) {
+      const size_t p = table.position(id);
+      if (p < i) cand_pos.push_back(p);
+    });
+    std::sort(cand_pos.begin(), cand_pos.end());
+    cand_matches.clear();
+    for (size_t p : cand_pos) cand_matches.push_back(&rules[p].match);
+    row_direct_dependencies(rules[i].match, cand_matches, opts, scratch, deps);
+    for (size_t d : deps) graph.add_edge(rules[i].id, rules[cand_pos[d]].id);
   }
   return graph;
 }
 
-}  // namespace
-
 bool uses_direct_path(size_t table_size, const MinDagBuildOptions& opts) {
   return table_size < opts.direct_cutoff;
-}
-
-DependencyGraph build_min_dag(const FlowTable& table) {
-  return build_indexed(table, MinDagBuildOptions{});
-}
-
-DependencyGraph build_min_dag(const FlowTable& table, const MinDagBuildOptions& opts) {
-  MinDagBuildOptions serial = opts;
-  serial.n_threads = 1;
-  return build_indexed(table, serial);
-}
-
-DependencyGraph build_min_dag_parallel(const FlowTable& table, size_t n_threads) {
-  MinDagBuildOptions opts;
-  opts.n_threads = n_threads;
-  return build_indexed(table, opts);
-}
-
-DependencyGraph build_min_dag_parallel(const FlowTable& table,
-                                       const MinDagBuildOptions& opts) {
-  return build_indexed(table, opts);
 }
 
 DependencyGraph build_min_dag_brute(const FlowTable& table) {

@@ -12,15 +12,14 @@
 // order, exists iff some packet matches both u and v and is not matched by
 // any rule strictly between them.
 //
-// Three implementations share one per-row kernel:
+// Two implementations:
 //  * build_min_dag_brute — the literal O(n^3) all-pairs definition, kept as
 //    the oracle and as the bench baseline;
-//  * build_min_dag — indexed: each rule only tests the rules it can actually
-//    overlap (RuleIndex candidate pruning) and the per-row residue walk
-//    reuses arena buffers, so the hot loop is allocation-free;
-//  * build_min_dag_parallel — rows are independent given the table, so they
-//    are sharded across a thread pool with per-thread arenas. The edge set
-//    is merged in row order and is bit-identical to the serial build.
+//  * build_min_dag — the production builder, single-threaded. Small tables
+//    take a direct per-pair path; larger ones are indexed: each rule only
+//    tests the rules it can actually overlap (RuleIndex candidate pruning),
+//    and the per-row residue walk reuses arena buffers, so the hot loop is
+//    allocation-free.
 //
 // Fragment-limit policy (see flowspace::kDefaultFragmentLimit): when a cover
 // test overflows its fragment budget, the builder keeps a conservative edge.
@@ -53,19 +52,14 @@ struct MinDagBuildOptions {
   /// residue walk to per-pair cover tests (broad rules like default routes
   /// fragment against thousands of specific rules; per-pair stays cheap).
   size_t residue_soft_limit = 2048;
-  /// Worker threads for build_min_dag_parallel; <= 1 builds serially.
-  size_t n_threads = 1;
-  /// Tables smaller than this build serially even when n_threads > 1.
-  size_t parallel_cutoff = 256;
   /// Tables smaller than this skip the index entirely and use the direct
-  /// per-pair path (same edges, same conservative overflow policy — applied
-  /// before the thread check, so serial and parallel builds stay
-  /// bit-identical below the cutoff). 0 disables the shortcut.
+  /// per-pair path (same edges, same conservative overflow policy). 0
+  /// disables the shortcut.
   size_t direct_cutoff = kSmallTableDirectCutoff;
 };
 
 /// Reusable per-row scratch: residue fragment arena, per-pair cover arena,
-/// and candidate storage. One instance per thread.
+/// and candidate storage, reused across rows.
 class MinDagRowScratch {
  public:
   MinDagRowScratch() = default;
@@ -101,18 +95,10 @@ void row_direct_dependencies(const flowspace::TernaryMatch& m,
                              MinDagRowScratch& scratch,
                              std::vector<size_t>& out);
 
-/// Builds the minimum DAG of `table` with index pruning and arena reuse.
-DependencyGraph build_min_dag(const flowspace::FlowTable& table);
+/// Builds the minimum DAG of `table`: the direct path below
+/// opts.direct_cutoff, index pruning and arena reuse above it.
 DependencyGraph build_min_dag(const flowspace::FlowTable& table,
-                              const MinDagBuildOptions& opts);
-
-/// Parallel build: shards rows across `n_threads` workers (per-thread
-/// arenas), falling back to the serial path for small tables or n_threads
-/// <= 1. The resulting edge set is identical to build_min_dag's.
-DependencyGraph build_min_dag_parallel(const flowspace::FlowTable& table,
-                                       size_t n_threads);
-DependencyGraph build_min_dag_parallel(const flowspace::FlowTable& table,
-                                       const MinDagBuildOptions& opts);
+                              const MinDagBuildOptions& opts = {});
 
 /// The literal O(n^2)-pairs brute force with full between-set scans: the
 /// correctness oracle and the bench baseline the optimized builders are
@@ -122,13 +108,6 @@ DependencyGraph build_min_dag_brute(const flowspace::FlowTable& table);
 /// True iff `build_min_dag(table, opts)` would take the direct small-table
 /// path instead of constructing the index (bench/reporting).
 bool uses_direct_path(size_t table_size, const MinDagBuildOptions& opts);
-
-/// Process-wide default thread count for bulk DAG extraction entry points
-/// that take no explicit count (LeafNode bootstrap). 0 or 1 means serial.
-/// Set from tools/bench flags (--dag-threads); not read concurrently with
-/// writes.
-void set_default_build_threads(size_t n);
-size_t default_build_threads();
 
 /// True iff every edge constraint of `graph` is satisfied by the order of
 /// `rules` (dependencies appear earlier). Used to validate layouts.

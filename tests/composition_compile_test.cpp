@@ -1,13 +1,13 @@
 // Compile-strategy equivalence for ComposedNode's full compile.
 //
-// full_rebuild has two interchangeable execution strategies — serial and
-// the thread-pool sharded path — plus the incremental path that reaches the
-// same state one child update at a time. All of them must agree on the
-// id-independent CompileSnapshot: member entries by provenance, key-vertex
-// representatives, and the visible minimum-DAG edge set. (Member-graph edges
-// are deliberately outside the snapshot: the incremental stitcher may retain
-// extra, still-valid constraint edges.) The shared state is then checked
-// against the from-scratch oracle (testutil::expect_composition_valid):
+// full_rebuild and the incremental path (which reaches the same state one
+// child update at a time) must agree on the id-independent CompileSnapshot,
+// and two full compiles of the same tables must reproduce it exactly: member
+// entries by provenance, key-vertex representatives, and the visible
+// minimum-DAG edge set. (Member-graph edges are deliberately outside the
+// snapshot: the incremental stitcher may retain extra, still-valid
+// constraint edges.) The shared state is then checked against the
+// from-scratch oracle (testutil::expect_composition_valid):
 // compose_from_scratch semantics, random DAG linearisations and the exact
 // minimum DAG.
 //
@@ -35,7 +35,6 @@
 namespace ruletris {
 namespace {
 
-using compiler::CompileOptions;
 using compiler::CompileSnapshot;
 using compiler::ComposedNode;
 using compiler::LeafNode;
@@ -75,9 +74,9 @@ std::vector<Rule> random_table_rules(Rng& rng, size_t n) {
 }
 
 ComposedNode make_node(OpKind op, const std::vector<Rule>& t1,
-                       const std::vector<Rule>& t2, const CompileOptions& opts) {
+                       const std::vector<Rule>& t2) {
   return ComposedNode{op, std::make_unique<LeafNode>(FlowTable{t1}),
-                      std::make_unique<LeafNode>(FlowTable{t2}), opts};
+                      std::make_unique<LeafNode>(FlowTable{t2})};
 }
 
 /// Checks `node` (a op b) against the from-scratch oracle. The oracle draws
@@ -91,20 +90,6 @@ void expect_matches_reference(ComposedNode& node, OpKind op, const FlowTable& a,
   testutil::expect_composition_valid(node, spec, tables, rng, compiler::op_name(op));
 }
 
-/// RAII guard for the process-wide default compile options (the nested-tree
-/// tests build whole trees under one strategy via the defaulted ctor).
-class DefaultOptionsGuard {
- public:
-  explicit DefaultOptionsGuard(const CompileOptions& opts)
-      : saved_(compiler::default_compile_options()) {
-    compiler::set_default_compile_options(opts);
-  }
-  ~DefaultOptionsGuard() { compiler::set_default_compile_options(saved_); }
-
- private:
-  CompileOptions saved_;
-};
-
 class CompileStrategies : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CompileStrategies, SerialLegacyAndParallelSnapshotsAgree) {
@@ -115,17 +100,12 @@ TEST_P(CompileStrategies, SerialLegacyAndParallelSnapshotsAgree) {
       const auto t1 = random_table_rules(rng, 8 + rng.next_below(16));
       const auto t2 = random_table_rules(rng, 8 + rng.next_below(16));
 
-      ComposedNode node = make_node(op, t1, t2, CompileOptions{});
-      const CompileSnapshot serial = node.snapshot();
+      ComposedNode node = make_node(op, t1, t2);
+      const CompileSnapshot first = node.snapshot();
       expect_matches_reference(node, op, FlowTable{t1}, FlowTable{t2}, oracle_rng);
 
-      for (const size_t threads : {2ul, 4ul}) {
-        CompileOptions par;
-        par.n_threads = threads;
-        par.parallel_cutoff = 0;  // force the sharded path on tiny tables
-        EXPECT_EQ(make_node(op, t1, t2, par).snapshot(), serial)
-            << compiler::op_name(op) << " parallel diverged, threads=" << threads;
-      }
+      EXPECT_EQ(make_node(op, t1, t2).snapshot(), first)
+          << compiler::op_name(op) << " second compile diverged";
     }
   }
 }
@@ -133,8 +113,8 @@ TEST_P(CompileStrategies, SerialLegacyAndParallelSnapshotsAgree) {
 TEST_P(CompileStrategies, IncrementalStateMatchesFullRebuildSnapshot) {
   // Drive a node through random child inserts/removals, then recompile the
   // same node from scratch: entries, representatives, and the visible DAG
-  // must land in the identical state (under every strategy), and that state
-  // must match the from-scratch oracle.
+  // must land in the identical state, and that state must match the
+  // from-scratch oracle.
   Rng rng(GetParam() ^ 0x1ac5);
   Rng oracle_rng(GetParam() ^ 0x0dac1e);
   for (const OpKind op : kAllOps) {
@@ -144,7 +124,7 @@ TEST_P(CompileStrategies, IncrementalStateMatchesFullRebuildSnapshot) {
     auto right = std::make_unique<LeafNode>(FlowTable{t2});
     LeafNode* lp = left.get();
     LeafNode* rp = right.get();
-    ComposedNode node{op, std::move(left), std::move(right), CompileOptions{}};
+    ComposedNode node{op, std::move(left), std::move(right)};
 
     std::vector<RuleId> live_l, live_r;
     for (const Rule& r : t1) live_l.push_back(r.id);
@@ -170,15 +150,7 @@ TEST_P(CompileStrategies, IncrementalStateMatchesFullRebuildSnapshot) {
     expect_matches_reference(node, op, lp->table(), rp->table(), oracle_rng);
     node.full_rebuild();
     EXPECT_EQ(node.snapshot(), incremental)
-        << compiler::op_name(op) << " serial rebuild diverged from incremental";
-
-    CompileOptions par;
-    par.n_threads = 4;
-    par.parallel_cutoff = 0;
-    node.set_compile_options(par);
-    node.full_rebuild();
-    EXPECT_EQ(node.snapshot(), incremental)
-        << compiler::op_name(op) << " parallel rebuild diverged from incremental";
+        << compiler::op_name(op) << " rebuild diverged from incremental";
   }
 }
 
@@ -207,8 +179,7 @@ TEST_P(CompileStrategies, NestedTwoLevelPoliciesAgreeAcrossStrategies) {
       const PolicySpec spec = PolicySpec::combine(
           static_cast<int>(op2), PolicySpec::leaf("ab"), PolicySpec::leaf("c"));
 
-      auto build = [&](const CompileOptions& opts) {
-        DefaultOptionsGuard guard(opts);
+      auto build = [&] {
         auto inner = std::make_unique<ComposedNode>(
             op1, std::make_unique<LeafNode>(FlowTable{ta}),
             std::make_unique<LeafNode>(FlowTable{tb}));
@@ -254,12 +225,9 @@ TEST_P(CompileStrategies, NestedTwoLevelPoliciesAgreeAcrossStrategies) {
         return std::make_tuple(entries, reps, edges);
       };
 
-      const auto serial = build(CompileOptions{});
-      CompileOptions par;
-      par.n_threads = 4;
-      par.parallel_cutoff = 0;
-      EXPECT_EQ(build(par), serial) << compiler::op_name(op1) << " then "
-                                    << compiler::op_name(op2) << " (parallel)";
+      const auto first = build();
+      EXPECT_EQ(build(), first) << compiler::op_name(op1) << " then "
+                                << compiler::op_name(op2) << " (second compile)";
     }
   }
 }

@@ -1,11 +1,10 @@
-// Property tests for the indexed/parallel minimum-DAG builders, the
+// Property tests for the minimum-DAG builder (direct and indexed paths), the
 // allocation-free cover kernel, and the two-level rule index.
 //
-// The brute-force builder is the oracle: the indexed serial builder and the
-// parallel builder must produce the exact same edge set on every table,
-// including tables that hit the fragment budget (where all builders fall
-// back to the same conservative policy, so serial and parallel must still be
-// bit-identical even when they diverge from an unbounded oracle).
+// The brute-force builder is the oracle: both paths of build_min_dag must
+// produce its exact edge set on every table. Tables that hit the fragment
+// budget may diverge from the unbounded oracle, but only by extra
+// (conservative) edges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +21,6 @@ namespace {
 
 using dag::build_min_dag;
 using dag::build_min_dag_brute;
-using dag::build_min_dag_parallel;
 using dag::DependencyGraph;
 using dag::MinDagBuildOptions;
 using flowspace::CoverResult;
@@ -60,17 +58,8 @@ TEST_P(MinDagBuilders, SerialAndParallelMatchBruteForceOnRandomTables) {
     // Force the indexed path despite the small-table cutoff.
     MinDagBuildOptions indexed_opts;
     indexed_opts.direct_cutoff = 0;
-    const DependencyGraph serial = build_min_dag(table, indexed_opts);
-    EXPECT_TRUE(serial == oracle) << "indexed serial diverged at n=" << n;
-    for (const size_t threads : {1ul, 2ul, 4ul}) {
-      MinDagBuildOptions opts;
-      opts.n_threads = threads;
-      opts.parallel_cutoff = 0;  // force the sharded path even for tiny tables
-      opts.direct_cutoff = 0;    // ...and past the small-table shortcut
-      const DependencyGraph parallel = build_min_dag_parallel(table, opts);
-      EXPECT_TRUE(parallel == oracle)
-          << "parallel diverged at n=" << n << " threads=" << threads;
-    }
+    const DependencyGraph indexed = build_min_dag(table, indexed_opts);
+    EXPECT_TRUE(indexed == oracle) << "indexed path diverged at n=" << n;
   }
 }
 
@@ -85,13 +74,9 @@ TEST_P(MinDagBuilders, BuildersAgreeOnClassbenchProfiles) {
     const FlowTable table{rules};
     const DependencyGraph oracle = build_min_dag_brute(table);
     EXPECT_TRUE(build_min_dag(table) == oracle);  // direct path at these sizes
-    EXPECT_TRUE(build_min_dag_parallel(table, 4) == oracle);
     MinDagBuildOptions indexed_opts;
     indexed_opts.direct_cutoff = 0;
-    indexed_opts.parallel_cutoff = 0;
     EXPECT_TRUE(build_min_dag(table, indexed_opts) == oracle);
-    indexed_opts.n_threads = 4;
-    EXPECT_TRUE(build_min_dag_parallel(table, indexed_opts) == oracle);
   }
 }
 
@@ -115,28 +100,20 @@ TEST_P(MinDagBuilders, DirectCutoffIsTransparent) {
 TEST_P(MinDagBuilders, SerialAndParallelBitIdenticalUnderFragmentPressure) {
   // A tiny fragment budget makes the residue walk and the per-pair fallback
   // overflow constantly, triggering the conservative keep-the-edge policy.
-  // Serial and parallel may then legitimately diverge from an unbounded
-  // oracle, but they must still produce the exact same (sound) edge set.
+  // The build may then legitimately diverge from an unbounded oracle, but
+  // only by keeping extra edges.
   Rng rng(GetParam() ^ 0xf7a6);
   const FlowTable table = random_table(rng, 80);
   MinDagBuildOptions tight;
   tight.fragment_limit = 4;
   tight.residue_soft_limit = 2;
   tight.direct_cutoff = 0;  // the point is the indexed residue/fallback walk
-  const DependencyGraph serial = build_min_dag(table, tight);
-
-  MinDagBuildOptions par = tight;
-  par.parallel_cutoff = 0;
-  for (const size_t threads : {2ul, 4ul}) {
-    par.n_threads = threads;
-    EXPECT_TRUE(build_min_dag_parallel(table, par) == serial)
-        << "threads=" << threads;
-  }
+  const DependencyGraph bounded = build_min_dag(table, tight);
 
   // Soundness: the tight budget may only add edges, never drop one.
   const DependencyGraph exact = build_min_dag(table);
   for (const auto& [u, v] : exact.edges()) {
-    EXPECT_TRUE(serial.has_edge(u, v))
+    EXPECT_TRUE(bounded.has_edge(u, v))
         << "overflow policy dropped real edge " << u << "->" << v;
   }
 }

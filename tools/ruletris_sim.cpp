@@ -29,7 +29,6 @@
 #include "classbench/format.h"
 #include "classbench/generator.h"
 #include "classbench/trace.h"
-#include "dag/builder.h"
 #include "compiler/baseline.h"
 #include "compiler/covisor.h"
 #include "compiler/policy_parser.h"
@@ -71,8 +70,6 @@ struct Options {
   std::string trace_in;    // replay this trace instead of random churn
   std::string trace_out;   // record the generated stream here
   std::optional<size_t> capacity;   // default: sized from the composed table
-  size_t dag_threads = 0;  // 0 = serial minimum-DAG extraction
-  size_t compile_threads = 0;  // 0 = serial composition full compiles
   std::string json_out;    // machine-readable report path
   std::string freeze_out;  // --freeze: write the final frozen artifact here
   std::string thaw_in;     // --thaw: warm boot from this artifact, no compile
@@ -126,8 +123,7 @@ struct Options {
                "usage: %s --policy EXPR --table NAME=SOURCE [--table ...]\n"
                "          [--churn NAME] [--updates N] [--seed S]\n"
                "          [--compiler ruletris|covisor|baseline]\n"
-               "          [--tcam-capacity N] [--dag-threads N]\n"
-               "          [--compile-threads N] [--verbose]\n"
+               "          [--tcam-capacity N] [--verbose]\n"
                "          [--trace FILE | --emit-trace FILE] [--json FILE]\n"
                "          [--freeze FILE] [--thaw FILE]\n"
                "          [--runtime] [--switches N] [--window W] [--fault-seed S]\n"
@@ -223,10 +219,6 @@ Options parse_args(int argc, char** argv) {
       opt.compiler = need_value(i);
     } else if (arg == "--tcam-capacity") {
       opt.capacity = need_number(i, size_t{});
-    } else if (arg == "--dag-threads") {
-      opt.dag_threads = need_number(i, size_t{});
-    } else if (arg == "--compile-threads") {
-      opt.compile_threads = need_number(i, size_t{});
     } else if (arg == "--json") {
       opt.json_out = need_value(i);
     } else if (arg == "--freeze") {
@@ -364,16 +356,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   util::set_log_level(opt.verbose ? util::LogLevel::kInfo : util::LogLevel::kError);
-  // Thread count for every minimum-DAG extraction the pipeline performs
-  // (LeafNode bootstrap and any full rebuilds). 0 keeps the serial path.
-  dag::set_default_build_threads(opt.dag_threads);
-  // Worker count for composition full compiles (ComposedNode bootstrap);
-  // 0 keeps the serial path.
-  {
-    compiler::CompileOptions copts;
-    copts.n_threads = opt.compile_threads;
-    compiler::set_default_compile_options(copts);
-  }
   bench::init_json(argc, argv, "ruletris_sim");
 
   try {
@@ -1044,7 +1026,6 @@ int main(int argc, char** argv) {
       j->meta("policy", compiler::policy_to_string(spec));
       j->meta("compiler", opt.compiler);
       j->meta("churn", churn);
-      j->meta("dag_threads", static_cast<double>(opt.dag_threads));
       j->meta("seed", static_cast<double>(opt.seed));
       j->begin_row();
       j->field("updates", static_cast<double>(trace.steps.size()));
